@@ -15,7 +15,6 @@ from .dynamics import (
     KPathGenerator,
     SpectralGenerator,
     Trajectory,
-    TrajectoryStats,
     build_rhs,
     exact_solution,
     fractional_generator,

@@ -223,6 +223,7 @@ def _sidecar(traj, args, g, problem) -> dict:
         "rejected_steps": traj.stats.rejected,
         "rhs_evaluations": traj.stats.rhs_evals,
         "linear_solves": traj.stats.linear_solves,
+        "factorizations": traj.stats.factorizations,
         "clamp_count": traj.stats.clamp_count,
         "model": args.model,
         "integrator": args.integrator,

@@ -16,7 +16,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import ConvergenceError, QuadratureError, StiffnessError
-from .graphs import Graph, all_pairs_distances, k_path_laplacian
+from .graphs import DistanceMatrix, Graph, _hop_coupling, _k_path_distances
 from .integrators import StepStats, bdf_integrate, rk45_integrate
 from .matfun import (
     SpectralDecomposition,
@@ -37,7 +37,6 @@ __all__ = [
     "DynamicsProblem",
     "IntegratorConfig",
     "Trajectory",
-    "TrajectoryStats",
     "build_rhs",
     "integrate_rk45",
     "integrate_bdf",
@@ -113,30 +112,22 @@ class KPathGenerator:
     closed-form solution; only direct numerical integration applies.
     """
 
-    layers: tuple[np.ndarray, ...]
+    distances: DistanceMatrix
 
     @classmethod
     def from_graph(cls, g: Graph) -> "KPathGenerator":
-        distances = all_pairs_distances(g)
-        layers = tuple(k_path_laplacian(g, k, distances)
-                       for k in range(1, max(distances.diameter, 1) + 1))
-        return cls(layers=layers)
+        return cls(distances=_k_path_distances(g))
 
     @property
     def n(self) -> int:
-        return self.layers[0].shape[0]
+        return self.distances.hops.shape[0]
 
     @property
     def is_symmetric(self) -> bool:
         return True
 
     def matrix(self, alpha: float) -> np.ndarray:
-        if alpha < 0:
-            raise ValueError("alpha must be >= 0 for the hop-coupling operator")
-        total = self.layers[0].copy()
-        for k, layer in enumerate(self.layers[1:], start=2):
-            total += float(k) ** (-alpha) * layer
-        return total
+        return _hop_coupling(self.distances.hops, alpha)
 
 
 def fractional_generator(source) -> SpectralGenerator | GeneralGenerator:
@@ -219,19 +210,10 @@ class IntegratorConfig:
 
 
 @dataclass(frozen=True)
-class TrajectoryStats:
-    accepted: int
-    rejected: int
-    rhs_evals: int
-    linear_solves: int
-    clamp_count: int
-
-
-@dataclass(frozen=True)
 class Trajectory:
     times: np.ndarray
     states: np.ndarray
-    stats: TrajectoryStats
+    stats: StepStats
 
 
 def random_initial_state(model: str, n: int, seed: int) -> np.ndarray:
@@ -253,22 +235,10 @@ def build_rhs(problem: DynamicsProblem):
     For symmetric generators the product is evaluated through the cached
     eigenbasis (diagonal powering per call, no matrix assembly).
     """
-    schedule = problem.schedule
-    factor = problem.factor
-    gen = problem.generator
-    if isinstance(gen, SpectralGenerator):
-        basis = gen.basis
-        lam = gen.clamped_eigenvalues()
-
-        def rhs(t, state):
-            powered = lam ** schedule(t)
-            return -factor * (((state @ basis) * powered) @ basis.T)
-
-        return rhs
-    cache = _MatrixCache(gen)
+    system = _make_system(problem, problem.schedule, StepStats())
 
     def rhs(t, state):
-        return -factor * (state @ cache.get(schedule(t)))
+        return system.exit(system.rhs(t, system.enter(state)))
 
     return rhs
 
@@ -291,17 +261,35 @@ class _MatrixCache:
         return hit
 
 
-class _EigenSystem:
-    """Decoupled scalar dynamics in the eigenbasis of a symmetric generator."""
+class _System:
+    """Per-run dynamics whose BDF solver is reused while (c, alpha) holds."""
 
-    def __init__(self, generator: SpectralGenerator, schedule, factor, stats):
-        self.basis = generator.basis
-        self.lam = generator.clamped_eigenvalues()
+    def __init__(self, schedule, factor, stats):
         self.schedule = schedule
         self.factor = factor
         self.stats = stats
         self._key = None
         self._solver = None
+
+    def make_solver(self, t, c):
+        alpha = self.schedule(t)
+        if self._key is not None:
+            c0, a0 = self._key
+            if abs(c - c0) <= 1e-12 * abs(c0) and abs(alpha - a0) <= 1e-12:
+                return self._solver
+        self._solver = self._factorize(c, alpha)
+        self._key = (c, alpha)
+        self.stats.factorizations += 1
+        return self._solver
+
+
+class _EigenSystem(_System):
+    """Decoupled scalar dynamics in the eigenbasis of a symmetric generator."""
+
+    def __init__(self, generator: SpectralGenerator, schedule, factor, stats):
+        super().__init__(schedule, factor, stats)
+        self.basis = generator.basis
+        self.lam = generator.clamped_eigenvalues()
 
     def enter(self, state):
         return state @ self.basis
@@ -312,31 +300,19 @@ class _EigenSystem:
     def rhs(self, t, coords):
         return -self.factor * (self.lam ** self.schedule(t)) * coords
 
-    def make_solver(self, t, c):
-        alpha = self.schedule(t)
-        if self._key is not None:
-            c0, a0 = self._key
-            if abs(c - c0) <= 1e-12 * abs(c0) and abs(alpha - a0) <= 1e-12:
-                return self._solver
+    def _factorize(self, c, alpha):
         denom = 1.0 + c * self.factor * self.lam ** alpha
-        self._solver = lambda b: b / denom
-        self._key = (c, alpha)
-        self.stats.factorizations += 1
-        return self._solver
+        return lambda b: b / denom
 
 
-class _DenseSystem:
+class _DenseSystem(_System):
     """State-space dynamics with per-call generator assembly (cached)."""
 
     def __init__(self, generator, schedule, factor, stats):
+        super().__init__(schedule, factor, stats)
         self.cache = _MatrixCache(generator)
-        self.schedule = schedule
-        self.factor = factor
         self.symmetric = generator.is_symmetric
         self.n = generator.n
-        self.stats = stats
-        self._key = None
-        self._solver = None
 
     def enter(self, state):
         return state
@@ -347,12 +323,7 @@ class _DenseSystem:
     def rhs(self, t, state):
         return -self.factor * (state @ self.cache.get(self.schedule(t)))
 
-    def make_solver(self, t, c):
-        alpha = self.schedule(t)
-        if self._key is not None:
-            c0, a0 = self._key
-            if abs(c - c0) <= 1e-12 * abs(c0) and abs(alpha - a0) <= 1e-12:
-                return self._solver
+    def _factorize(self, c, alpha):
         m = self.cache.get(alpha)
         shifted = np.eye(self.n, dtype=np.result_type(float, m.dtype,
                                                       type(self.factor))) \
@@ -360,13 +331,9 @@ class _DenseSystem:
         if self.symmetric and not np.iscomplexobj(shifted):
             # I + c L^alpha is symmetric positive definite for c > 0.
             factorized = scipy.linalg.cho_factor(shifted)
-            self._solver = lambda b: scipy.linalg.cho_solve(factorized, b)
-        else:
-            factorized = scipy.linalg.lu_factor(shifted.T)
-            self._solver = lambda b: scipy.linalg.lu_solve(factorized, b)
-        self._key = (c, alpha)
-        self.stats.factorizations += 1
-        return self._solver
+            return lambda b: scipy.linalg.cho_solve(factorized, b)
+        factorized = scipy.linalg.lu_factor(shifted.T)
+        return lambda b: scipy.linalg.lu_solve(factorized, b)
 
 
 def _make_system(problem, schedule, stats):
@@ -379,21 +346,12 @@ def _sample_grid(problem, config):
     return np.linspace(0.0, problem.horizon, config.samples)
 
 
-def _finish(problem, samples, states, step_stats, clamps):
+def _finish(problem, samples, states, stats, clamps):
     if problem.model == "heat" and np.iscomplexobj(states) \
             and np.abs(states.imag).max() <= 1e-12:
         states = states.real.copy()
-    return Trajectory(
-        times=samples,
-        states=states,
-        stats=TrajectoryStats(
-            accepted=step_stats.accepted,
-            rejected=step_stats.rejected,
-            rhs_evals=step_stats.rhs_evals,
-            linear_solves=step_stats.linear_solves,
-            clamp_count=clamps,
-        ),
-    )
+    stats.clamp_count = clamps
+    return Trajectory(times=samples, states=states, stats=stats)
 
 
 def integrate_rk45(problem: DynamicsProblem,

@@ -8,11 +8,12 @@ downstream kernel simple.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse
+from scipy.sparse.csgraph import connected_components, shortest_path
 
 from .errors import GraphParseError
 
@@ -69,15 +70,6 @@ class Graph:
     @property
     def m(self) -> int:
         return len(self.edges)
-
-    def out_neighbors(self) -> list[list[int]]:
-        """Adjacency lists following edge direction (both ways if undirected)."""
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v, _ in self.edges:
-            adj[u].append(v)
-            if not self.directed:
-                adj[v].append(u)
-        return adj
 
 
 @dataclass(frozen=True)
@@ -323,106 +315,34 @@ def incidence_matrix(g: Graph) -> np.ndarray:
 # Distances and connectivity
 # ---------------------------------------------------------------------------
 
-def _bfs_row(adj, source, n):
-    dist = np.full(n, np.inf)
-    dist[source] = 0.0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        du = dist[u]
-        for v in adj[u]:
-            if np.isinf(dist[v]):
-                dist[v] = du + 1.0
-                queue.append(v)
-    return dist
+def _arc_matrix(g: Graph) -> scipy.sparse.csr_matrix:
+    """Sparse 0/1 pattern of the stored edges.
+
+    Undirected edges are stored once; the csgraph routines read both
+    directions when called with ``directed=False``.
+    """
+    arcs = np.array([(u, v) for u, v, _ in g.edges], dtype=np.intp).reshape(-1, 2)
+    return scipy.sparse.csr_matrix(
+        (np.ones(len(arcs)), (arcs[:, 0], arcs[:, 1])), shape=(g.n, g.n))
 
 
 def all_pairs_distances(g: Graph) -> DistanceMatrix:
-    """Hop distances by BFS from every source; weights are ignored.
+    """Unweighted shortest-path (hop) distances between all pairs; weights are ignored.
 
     Directed graphs use directed paths, so the result need not be symmetric.
     """
-    adj = g.out_neighbors()
-    hops = np.vstack([_bfs_row(adj, s, g.n) for s in range(g.n)])
+    hops = shortest_path(_arc_matrix(g), directed=g.directed, unweighted=True)
     finite = hops[np.isfinite(hops)]
     diameter = int(finite.max()) if finite.size else 0
     return DistanceMatrix(hops=hops, diameter=diameter)
 
 
-def _undirected_components(g: Graph):
-    adj = g.out_neighbors()
-    label = [-1] * g.n
-    comps = []
-    for s in range(g.n):
-        if label[s] >= 0:
-            continue
-        comp = [s]
-        label[s] = len(comps)
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for v in adj[u]:
-                if label[v] < 0:
-                    label[v] = label[s]
-                    comp.append(v)
-                    queue.append(v)
-        comps.append(sorted(comp))
-    return comps
-
-
-def _strong_components(g: Graph):
-    """Iterative Tarjan strongly connected components."""
-    adj = g.out_neighbors()
-    index = [-1] * g.n
-    low = [0] * g.n
-    on_stack = [False] * g.n
-    stack: list[int] = []
-    comps = []
-    counter = 0
-    for root in range(g.n):
-        if index[root] >= 0:
-            continue
-        work = [(root, 0)]
-        while work:
-            node, ptr = work[-1]
-            if ptr == 0:
-                index[node] = low[node] = counter
-                counter += 1
-                stack.append(node)
-                on_stack[node] = True
-            advanced = False
-            while ptr < len(adj[node]):
-                nxt = adj[node][ptr]
-                ptr += 1
-                if index[nxt] < 0:
-                    work[-1] = (node, ptr)
-                    work.append((nxt, 0))
-                    advanced = True
-                    break
-                if on_stack[nxt]:
-                    low[node] = min(low[node], index[nxt])
-            if advanced:
-                continue
-            work.pop()
-            if low[node] == index[node]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == node:
-                        break
-                comps.append(sorted(comp))
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-    return comps
-
-
 def connectivity(g: Graph) -> ConnectivityReport:
     """Component report; directed graphs are judged by strong connectivity."""
-    comps = _strong_components(g) if g.directed else _undirected_components(g)
-    comps.sort(key=lambda c: (-len(c), c))
+    count, labels = connected_components(
+        _arc_matrix(g), directed=g.directed, connection="strong")
+    comps = sorted((np.flatnonzero(labels == c).tolist() for c in range(count)),
+                   key=lambda c: (-len(c), c))
     largest = comps[0]
     node_map = tuple(largest)
     back = {orig: new for new, orig in enumerate(node_map)}
@@ -442,6 +362,32 @@ def connectivity(g: Graph) -> ConnectivityReport:
 # k-path Laplacians
 # ---------------------------------------------------------------------------
 
+def _k_path_distances(g: Graph, distances: DistanceMatrix | None = None
+                      ) -> DistanceMatrix:
+    """Hop distances of g, which the k-path operators need undirected and connected."""
+    if g.directed:
+        raise ValueError("k_path_laplacian needs an undirected graph")
+    if distances is None:
+        distances = all_pairs_distances(g)
+    if not np.all(np.isfinite(distances.hops)):
+        raise ValueError("k_path_laplacian needs a connected graph")
+    return distances
+
+
+def _hop_coupling(hops: np.ndarray, alpha: float) -> np.ndarray:
+    """L_1 + sum_k k^{-alpha} L_k built in one pass from the hop matrix.
+
+    Pairs at hop distance d > 0 couple with weight -d^{-alpha}; the diagonal
+    is minus the row sum, so each row sums to zero.
+    """
+    if alpha < 0:
+        raise ValueError("alpha must be >= 0 for the hop-coupling operator")
+    coupling = -np.power(hops, -float(alpha), out=np.zeros_like(hops),
+                         where=hops > 0)
+    np.fill_diagonal(coupling, -coupling.sum(axis=1))
+    return coupling
+
+
 def k_path_laplacian(g: Graph, k: int, distances: DistanceMatrix | None = None
                      ) -> np.ndarray:
     """Laplacian-like coupling of node pairs at hop distance exactly k.
@@ -450,15 +396,9 @@ def k_path_laplacian(g: Graph, k: int, distances: DistanceMatrix | None = None
     count of nodes at distance exactly k, so each row sums to zero.  Returns
     the zero matrix for k larger than the diameter.
     """
-    if g.directed:
-        raise ValueError("k_path_laplacian needs an undirected graph")
     if k < 1:
         raise ValueError("k must be >= 1")
-    if distances is None:
-        distances = all_pairs_distances(g)
-    if not np.all(np.isfinite(distances.hops)):
-        raise ValueError("k_path_laplacian needs a connected graph")
-    mask = distances.hops == k
+    mask = _k_path_distances(g, distances).hops == k
     lap = np.where(mask, -1.0, 0.0)
     np.fill_diagonal(lap, mask.sum(axis=1))
     return lap
@@ -466,10 +406,4 @@ def k_path_laplacian(g: Graph, k: int, distances: DistanceMatrix | None = None
 
 def transformed_k_path_laplacian(g: Graph, alpha: float) -> np.ndarray:
     """Mellin-weighted sum L_1 + sum_{k>=2} k^{-alpha} L_k up to the diameter."""
-    if alpha < 0:
-        raise ValueError("alpha must be >= 0")
-    distances = all_pairs_distances(g)
-    total = k_path_laplacian(g, 1, distances)
-    for k in range(2, distances.diameter + 1):
-        total = total + float(k) ** (-alpha) * k_path_laplacian(g, k, distances)
-    return total
+    return _hop_coupling(_k_path_distances(g).hops, alpha)

@@ -51,13 +51,18 @@ _DP_P = np.array([
 
 @dataclass
 class StepStats:
-    """Raw counters filled in by the integration cores."""
+    """Counters of one integration.
+
+    The cores count steps, right-hand sides and solves; the solver provider
+    counts factorizations and the dynamics layer records schedule clamps.
+    """
 
     accepted: int = 0
     rejected: int = 0
     rhs_evals: int = 0
     linear_solves: int = 0
     factorizations: int = 0
+    clamp_count: int = 0
 
 
 def _error_norm(err, y_ref, rtol, atol):

@@ -165,8 +165,14 @@ def _swap_adjacent(t: np.ndarray, q: np.ndarray, k: int) -> None:
 
 
 def _cluster_eigenvalues(diag: np.ndarray, delta: float) -> list[int]:
-    """Union-find grouping of eigenvalues closer than delta."""
+    """Union-find grouping of eigenvalues closer than delta.
+
+    A zero eigenvalue never joins a nonzero one: z^alpha has no Taylor
+    expansion about a point near 0, while the Sylvester recurrence between a
+    zero block and a nonzero one only divides by their distinct eigenvalues.
+    """
     n = diag.shape[0]
+    zero = np.abs(diag) <= EIGENVALUE_CLAMP
     parent = list(range(n))
 
     def find(i):
@@ -177,7 +183,7 @@ def _cluster_eigenvalues(diag: np.ndarray, delta: float) -> list[int]:
 
     for i in range(n):
         for j in range(i + 1, n):
-            if abs(diag[i] - diag[j]) <= delta:
+            if abs(diag[i] - diag[j]) <= delta and zero[i] == zero[j]:
                 ri, rj = find(i), find(j)
                 if ri != rj:
                     parent[rj] = ri

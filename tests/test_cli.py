@@ -79,6 +79,7 @@ def test_simulate_karate_shape_and_stats(tmp_path):
     stats = json.load(open(out + ".stats.json"))
     assert stats["mass_max_error"] <= 1e-8
     assert stats["accepted_steps"] > 0 and stats["linear_solves"] > 0
+    assert 0 < stats["factorizations"] <= stats["linear_solves"]
     assert stats["empirical_decay_rate"] is not None
 
 

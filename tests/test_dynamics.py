@@ -20,9 +20,11 @@ from fraclap import (
     directed_laplacians,
     exact_solution,
     fractional_generator,
+    fractional_power_sym,
     integrate_bdf,
     integrate_rk45,
     matrix_exponential,
+    normalized_laplacians,
     random_initial_state,
     simulate,
     sym_eig,
@@ -120,6 +122,17 @@ def test_kpath_generator_matrix_values(c4):
     assert gen.matrix(0.0)[0, 2] == -1.0  # complete-graph coupling at alpha=0
     with pytest.raises(ValueError):
         gen.matrix(-1.0)
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.9])
+def test_general_generator_nrw_ring_matches_symmetric(alpha):
+    # On a regular graph L_rw equals L_sym, and the smallest nonzero eigenvalue
+    # 1 - cos(2 pi / 30) ~ 0.022 lies within the blocking radius of zero.
+    rw, sym = normalized_laplacians(cycle_graph(30))
+    power = GeneralGenerator.from_matrix(rw).matrix(alpha)
+    expected = fractional_power_sym(sym_eig(sym), alpha)
+    assert np.abs(power - expected).max() <= 1e-12
+    assert np.abs(power.sum(axis=1)).max() <= 1e-12
 
 
 # ---------------------------------------------------------------------------

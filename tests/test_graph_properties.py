@@ -1,0 +1,111 @@
+"""Property tests for hop distances, components and the hop-coupling operator."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fraclap import (
+    Graph,
+    KPathGenerator,
+    all_pairs_distances,
+    connectivity,
+    k_path_laplacian,
+    transformed_k_path_laplacian,
+)
+
+PROPERTY = settings(max_examples=100, deadline=None, derandomize=True)
+ALPHAS = (0.0, 0.5, 1.0, 2.5)
+
+
+@st.composite
+def graphs(draw, directed=st.booleans(), connected=False):
+    """Simple graphs on at most 30 nodes with arbitrary positive weights.
+
+    With connected=True the first n - 1 edges form a random spanning tree.
+    """
+    n = draw(st.integers(1, 30))
+    is_directed = draw(directed)
+    pairs = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)] \
+        if connected else []
+    if n > 1:
+        m = draw(st.integers(0, 3 * n))
+        extra = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                         st.integers(1, n - 1)),
+                              min_size=m, max_size=m))
+        pairs += [(u, (u + shift) % n) for u, shift in extra]
+    keys = {}
+    for u, v in pairs:
+        key = (u, v) if is_directed else (min(u, v), max(u, v))
+        keys.setdefault(key, draw(st.floats(0.1, 10.0)))
+    return Graph(n, tuple((u, v, w) for (u, v), w in keys.items()),
+                 directed=is_directed)
+
+
+def arc_pattern(g: Graph) -> np.ndarray:
+    arcs = np.zeros((g.n, g.n), dtype=bool)
+    for u, v, _ in g.edges:
+        arcs[u, v] = True
+        if not g.directed:
+            arcs[v, u] = True
+    return arcs
+
+
+@PROPERTY
+@given(graphs())
+def test_distances_solve_the_bfs_equations(g):
+    hops = all_pairs_distances(g).hops
+    arcs = arc_pattern(g)
+    # 1 + min over out-neighbours w of hops[w, v]; inf with no finite route.
+    through = 1.0 + np.where(arcs[:, :, None], hops[None, :, :], np.inf).min(axis=1)
+    expected = np.where(arcs, 1.0, through)
+    np.fill_diagonal(expected, 0.0)
+    assert np.array_equal(hops, expected)
+
+
+@PROPERTY
+@given(graphs())
+def test_components_are_mutual_reachability_classes(g):
+    report = connectivity(g)
+    comps = [list(c) for c in report.components]
+    assert sorted(u for c in comps for u in c) == list(range(g.n))
+    assert comps == sorted(comps, key=lambda c: (-len(c), c))
+    label = np.empty(g.n, dtype=int)
+    for i, c in enumerate(comps):
+        label[c] = i
+    hops = all_pairs_distances(g).hops
+    mutual = np.isfinite(hops) & np.isfinite(hops.T)
+    assert np.array_equal(label[:, None] == label[None, :], mutual)
+    assert report.is_connected == (len(comps) == 1)
+    assert report.node_map == report.components[0]
+
+
+@PROPERTY
+@given(graphs(directed=st.just(False), connected=True))
+def test_kpath_generator_matrix_is_the_transformed_laplacian(g):
+    gen = KPathGenerator.from_graph(g)
+    distances = all_pairs_distances(g)
+    for alpha in ALPHAS:
+        matrix = gen.matrix(alpha)
+        assert np.array_equal(matrix, transformed_k_path_laplacian(g, alpha))
+        layers = sum((float(k) ** (-alpha) * k_path_laplacian(g, k, distances)
+                      for k in range(1, distances.diameter + 1)),
+                     np.zeros((g.n, g.n)))
+        assert np.abs(matrix - layers).max() <= 1e-12 * g.n
+
+
+@PROPERTY
+@given(graphs(directed=st.just(False)))
+def test_kpath_generator_rejects_disconnected_graphs(g):
+    if connectivity(g).is_connected:
+        assert KPathGenerator.from_graph(g).n == g.n
+    else:
+        with pytest.raises(ValueError, match="needs a connected graph"):
+            KPathGenerator.from_graph(g)
+
+
+@PROPERTY
+@given(graphs(directed=st.just(True)))
+def test_kpath_generator_rejects_directed_graphs(g):
+    with pytest.raises(ValueError, match="needs an undirected graph"):
+        KPathGenerator.from_graph(g)

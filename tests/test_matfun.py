@@ -3,6 +3,7 @@ import pytest
 
 from conftest import cycle_graph, ring_with_chords
 from fraclap import (
+    Graph,
     NumericError,
     SpectralDecomposition,
     apply_spectral_function,
@@ -170,6 +171,30 @@ def test_general_power_rejects_zero_jordan_block():
     # Nilpotent 2x2: zero eigenvalue with a 2x2 Jordan block.
     with pytest.raises(NumericError, match="not defined on the spectrum"):
         fractional_power_general(np.array([[0.0, 1.0], [0.0, 0.0]]), 0.5)
+
+
+def test_general_power_small_weight_two_cycle():
+    # Eigenvalues 0 and 0.06 lie within the blocking radius of each other.
+    g = Graph(2, ((0, 1, 0.03), (1, 0, 0.03)), directed=True)
+    l_out, _ = directed_laplacians(g)
+    power = fractional_power_general(l_out, 0.5)
+    expected = np.sqrt(0.06) / 2 * np.array([[1.0, -1.0], [-1.0, 1.0]])
+    assert np.abs(power - expected).max() <= 1e-12
+    assert np.abs(power.sum(axis=1)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.9])
+def test_general_power_small_weight_three_cycle(alpha):
+    # Both nonzero eigenvalues have modulus 0.02 * sqrt(3), close to zero.
+    g = Graph(3, ((0, 1, 0.02), (1, 2, 0.02), (2, 0, 0.02)), directed=True)
+    l_out, _ = directed_laplacians(g)
+    power = fractional_power_general(l_out, alpha)
+    values, vectors = np.linalg.eig(l_out)
+    powered = np.array([0.0 if abs(v) <= 1e-10 else np.exp(alpha * np.log(v))
+                        for v in values])
+    reference = (vectors * powered) @ np.linalg.inv(vectors)
+    assert np.abs(power - reference).max() <= 1e-12
+    assert np.abs(power.sum(axis=1)).max() <= 1e-12
 
 
 # ---------------------------------------------------------------------------
