@@ -10,6 +10,7 @@ cost O(n^2) once while each right-hand-side call is O(n).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -243,24 +244,6 @@ def build_rhs(problem: DynamicsProblem):
     return rhs
 
 
-class _MatrixCache:
-    """Reuses assembled generator matrices keyed by the exponent value."""
-
-    def __init__(self, generator, max_entries: int = 64):
-        self._generator = generator
-        self._cache: dict[float, np.ndarray] = {}
-        self._max = max_entries
-
-    def get(self, alpha: float) -> np.ndarray:
-        hit = self._cache.get(alpha)
-        if hit is None:
-            if len(self._cache) >= self._max:
-                self._cache.clear()
-            hit = self._generator.matrix(alpha)
-            self._cache[alpha] = hit
-        return hit
-
-
 class _System:
     """Per-run dynamics whose BDF solver is reused while (c, alpha) holds."""
 
@@ -306,11 +289,15 @@ class _EigenSystem(_System):
 
 
 class _DenseSystem(_System):
-    """State-space dynamics with per-call generator assembly (cached)."""
+    """State-space dynamics with per-call generator assembly.
+
+    Only the matrix of the latest exponent is kept: under a continuous
+    schedule bdf re-reads just the one it assembled for make_solver.
+    """
 
     def __init__(self, generator, schedule, factor, stats):
         super().__init__(schedule, factor, stats)
-        self.cache = _MatrixCache(generator)
+        self.matrix = functools.lru_cache(maxsize=1)(generator.matrix)
         self.symmetric = generator.is_symmetric
         self.n = generator.n
 
@@ -321,10 +308,10 @@ class _DenseSystem(_System):
         return coords
 
     def rhs(self, t, state):
-        return -self.factor * (state @ self.cache.get(self.schedule(t)))
+        return -self.factor * (state @ self.matrix(self.schedule(t)))
 
     def _factorize(self, c, alpha):
-        m = self.cache.get(alpha)
+        m = self.matrix(alpha)
         shifted = np.eye(self.n, dtype=np.result_type(float, m.dtype,
                                                       type(self.factor))) \
             + c * self.factor * m

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, StiffnessError
+from .errors import ConvergenceError, NumericError, StiffnessError
 
 __all__ = ["StepStats", "rk45_integrate", "bdf_integrate"]
 
@@ -68,6 +68,18 @@ class StepStats:
 def _error_norm(err, y_ref, rtol, atol):
     scale = atol + rtol * np.abs(y_ref)
     return float(np.max(np.abs(err) / scale))
+
+
+def _require_finite(method, err_norm, y_new, t, h):
+    """Reject a step whose error estimate or state is NaN or infinite.
+
+    A NaN error norm compares as an accepted step, so without this check the
+    failure surfaces later, or never, as something else.
+    """
+    if not (np.isfinite(err_norm) and np.isfinite(y_new).all()):
+        raise NumericError(
+            f"{method} step from t={t:.6g} (h={h:.3e}) produced a non-finite "
+            "state or error estimate")
 
 
 def _default_first_step(t_end, max_step):
@@ -134,6 +146,7 @@ def rk45_integrate(rhs, t_end, y0, sample_times, *, rtol=1e-6, atol=1e-9,
         k[6] = f_new
         err = h * (_DP_E @ k)
         en = _error_norm(err, np.maximum(np.abs(y), np.abs(y_new)), rtol, atol)
+        _require_finite("rk45", en, y_new, t, h)
 
         if en > 1.0:
             stats.rejected += 1
@@ -253,6 +266,7 @@ def bdf_integrate(rhs, make_solver, t_end, y0, sample_times, *, rtol=1e-6,
 
         scale = atol + rtol * np.abs(y_new)
         err_norm = float(np.max(np.abs(_ERROR_CONST[order] * corr) / scale))
+        _require_finite("bdf", err_norm, y_new, t, h)
         if err_norm > 1.0:
             stats.rejected += 1
             factor = max(_MIN_FACTOR,

@@ -13,6 +13,7 @@ from typing import Callable
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse.csgraph
 
 from .errors import ConvergenceError, NumericError
 
@@ -53,10 +54,16 @@ class SpectralDecomposition:
 
 @dataclass(frozen=True)
 class TriangularFactorization:
-    """Unitary Q and upper-triangular T with Q T Q* equal to the input."""
+    """Unitary Q and upper-triangular T with Q T Q* equal to the input.
+
+    The diagonal of T is ordered so that each cluster of eigenvalues closer
+    than the blocking radius is contiguous; block i spans rows and columns
+    starts[i]:starts[i + 1].
+    """
 
     unitary: np.ndarray
     triangular: np.ndarray
+    starts: tuple[int, ...]
 
     @property
     def n(self) -> int:
@@ -136,79 +143,57 @@ def apply_spectral_function(d: SpectralDecomposition,
 # General (non-symmetric) fractional powers via triangular recurrence
 # ---------------------------------------------------------------------------
 
-def triangular_factorization(m: np.ndarray) -> TriangularFactorization:
-    """Complex unitary triangular (Schur-type) factorization of a matrix."""
+def triangular_factorization(m: np.ndarray, blocking_delta: float = 0.1
+                             ) -> TriangularFactorization:
+    """Complex unitary triangular (Schur-type) factorization of a matrix.
+
+    The diagonal is clustered with radius blocking_delta and reordered so
+    that every cluster is contiguous; both steps are independent of the
+    exponent, so powers of one factorization share them.
+    """
     m = _require_square(m)
     t, q = scipy.linalg.schur(m.astype(complex), output="complex")
-    return TriangularFactorization(unitary=q, triangular=t)
+    labels = _cluster_eigenvalues(np.diag(t), blocking_delta)
+    t, q, starts = _reorder_clusters(t, q, labels)
+    return TriangularFactorization(unitary=q, triangular=t, starts=starts)
 
 
-def _swap_adjacent(t: np.ndarray, q: np.ndarray, k: int) -> None:
-    """Exchange diagonal entries k and k+1 of upper-triangular t in place.
-
-    Applies a 2x2 unitary similarity built from the eigenvector of the
-    trailing eigenvalue; q accumulates the transformation.
-    """
-    a = t[k, k]
-    b = t[k, k + 1]
-    c = t[k + 1, k + 1]
-    v = np.array([b, c - a])
-    r = np.linalg.norm(v)
-    if r == 0.0:
-        return
-    v1, v2 = v / r
-    rot = np.array([[v1, -np.conj(v2)], [v2, np.conj(v1)]])
-    t[k:k + 2, :] = rot.conj().T @ t[k:k + 2, :]
-    t[:, k:k + 2] = t[:, k:k + 2] @ rot
-    q[:, k:k + 2] = q[:, k:k + 2] @ rot
-    t[k + 1, k] = 0.0
-
-
-def _cluster_eigenvalues(diag: np.ndarray, delta: float) -> list[int]:
-    """Union-find grouping of eigenvalues closer than delta.
+def _cluster_eigenvalues(diag: np.ndarray, delta: float) -> np.ndarray:
+    """Labels of the classes of eigenvalues linked by steps of at most delta.
 
     A zero eigenvalue never joins a nonzero one: z^alpha has no Taylor
     expansion about a point near 0, while the Sylvester recurrence between a
     zero block and a nonzero one only divides by their distinct eigenvalues.
     """
-    n = diag.shape[0]
     zero = np.abs(diag) <= EIGENVALUE_CLAMP
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(diag[i] - diag[j]) <= delta and zero[i] == zero[j]:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[rj] = ri
-    return [find(i) for i in range(n)]
+    linked = (np.abs(diag[:, None] - diag[None, :]) <= delta) \
+        & (zero[:, None] == zero[None, :])
+    _, labels = scipy.sparse.csgraph.connected_components(linked,
+                                                          directed=False)
+    return labels
 
 
-def _reorder_clusters(t: np.ndarray, q: np.ndarray, labels: list[int]) -> list[int]:
-    """Bubble equal labels together; returns block sizes in final order."""
-    order: list[int] = []
-    for lab in labels:
-        if lab not in order:
-            order.append(lab)
-    work = list(labels)
+def _reorder_clusters(t: np.ndarray, q: np.ndarray, labels: np.ndarray):
+    """Move equal labels together, clusters in order of first appearance.
+
+    Returns the reordered (t, q) and the block boundaries: block i spans
+    starts[i]:starts[i + 1].
+    """
+    work = labels.tolist()
     pos = 0
-    sizes = []
-    for lab in order:
-        count = work.count(lab)
-        for _ in range(count):
+    starts = [0]
+    for lab in dict.fromkeys(work):
+        for _ in range(work.count(lab)):
             src = work.index(lab, pos)
-            for k in range(src - 1, pos - 1, -1):
-                _swap_adjacent(t, q, k)
-                work[k], work[k + 1] = work[k + 1], work[k]
+            if src != pos:
+                # LAPACK positions are 1-based.
+                t, q, info = scipy.linalg.lapack.ztrexc(t, q, src + 1, pos + 1)
+                if info != 0:
+                    raise NumericError(f"eigenvalue reordering failed (info={info})")
+                work.insert(pos, work.pop(src))
             pos += 1
-        sizes.append(count)
-    return sizes
+        starts.append(pos)
+    return t, q, tuple(starts)
 
 
 def _power_scalar(lam: complex, alpha: float) -> complex:
@@ -220,8 +205,12 @@ def _power_scalar(lam: complex, alpha: float) -> complex:
 def _power_block(tb: np.ndarray, alpha: float) -> np.ndarray:
     """z^alpha of a small triangular block with clustered eigenvalues.
 
-    Uses a Taylor expansion about the mean eigenvalue; valid because the
-    cluster radius is small relative to the distance from the origin.
+    A Taylor expansion about the mean eigenvalue serves a cluster whose
+    radius is small relative to its distance from the origin.  A cluster is
+    a chain of eigenvalues less than the blocking radius apart, so near the
+    origin it can be too wide for the series to converge; such a block goes
+    to scipy's Schur-Pade fractional power (Higham & Lin, SIMAX 2011), which
+    needs only a nonsingular block but costs several times more.
     """
     diag = np.diag(tb)
     mu = diag.mean()
@@ -248,58 +237,45 @@ def _power_block(tb: np.ndarray, alpha: float) -> np.ndarray:
             return total
         if not np.all(np.isfinite(total)):
             break
+    total = scipy.linalg.fractional_matrix_power(tb, alpha)
+    if np.all(np.isfinite(total)):
+        return total
     raise ConvergenceError(
         "triangular block evaluation of z^alpha did not converge "
         f"(cluster around {mu:.6g}, size {m})")
 
 
-def _triangular_power(t: np.ndarray, alpha: float, delta: float) -> np.ndarray:
-    """Blocked recurrence for f(T), f(z) = z^alpha, T upper triangular."""
-    n = t.shape[0]
-    labels = _cluster_eigenvalues(np.diag(t), delta)
-    if len(set(labels)) < n:
-        t = t.copy()
-        q_extra = np.eye(n, dtype=complex)
-        sizes = _reorder_clusters(t, q_extra, labels)
-    else:
-        q_extra = None
-        sizes = [1] * n
-    starts = np.concatenate(([0], np.cumsum(sizes))).astype(int)
-    nb = len(sizes)
+def _triangular_power(t: np.ndarray, starts: tuple[int, ...],
+                      alpha: float) -> np.ndarray:
+    """Block-column recurrence for f(T), f(z) = z^alpha, T upper triangular.
+
+    With the leading columns of F = f(T) done, block column J = [lo, hi)
+    solves T[:lo, :lo] X - X T_JJ = F[:lo, :lo] T[:lo, J] - T[:lo, J] F_JJ,
+    which follows from F T = T F (Higham, Functions of Matrices, ch. 9).
+    """
     f = np.zeros_like(t)
-    blocks = [(starts[i], starts[i + 1]) for i in range(nb)]
-    for (lo, hi) in blocks:
+    for lo, hi in zip(starts[:-1], starts[1:]):
+        t_jj = t[lo:hi, lo:hi]
         if hi - lo == 1:
             f[lo, lo] = _power_scalar(t[lo, lo], alpha)
         else:
-            f[lo:hi, lo:hi] = _power_block(t[lo:hi, lo:hi], alpha)
-    # Off-diagonal blocks by superdiagonals: T_II Y - Y T_JJ = C.
-    for offset in range(1, nb):
-        for i in range(nb - offset):
-            j = i + offset
-            i0, i1 = blocks[i]
-            j0, j1 = blocks[j]
-            c = (f[i0:i1, i0:i1] @ t[i0:i1, j0:j1]
-                 - t[i0:i1, j0:j1] @ f[j0:j1, j0:j1])
-            for k in range(i + 1, j):
-                k0, k1 = blocks[k]
-                c = c + (f[i0:i1, k0:k1] @ t[k0:k1, j0:j1]
-                         - t[i0:i1, k0:k1] @ f[k0:k1, j0:j1])
-            if i1 - i0 == 1 and j1 - j0 == 1:
-                f[i0, j0] = c[0, 0] / (t[i0, i0] - t[j0, j0])
-            else:
-                f[i0:i1, j0:j1] = scipy.linalg.solve_sylvester(
-                    t[i0:i1, i0:i1], -t[j0:j1, j0:j1], c)
-    if q_extra is not None:
-        f = q_extra @ f @ q_extra.conj().T
+            f[lo:hi, lo:hi] = _power_block(t_jj, alpha)
+        if lo == 0:
+            continue
+        rhs = f[:lo, :lo] @ t[:lo, lo:hi] - t[:lo, lo:hi] @ f[lo:hi, lo:hi]
+        x, scale, info = scipy.linalg.lapack.ztrsyl(t[:lo, :lo], t_jj, rhs,
+                                                    isgn=-1)
+        if info < 0:
+            raise NumericError(f"triangular Sylvester solve failed (info={info})")
+        f[:lo, lo:hi] = x / scale
     return f
 
 
-def power_from_factorization(fac: TriangularFactorization, alpha: float,
-                             blocking_delta: float = 0.1) -> np.ndarray:
+def power_from_factorization(fac: TriangularFactorization,
+                             alpha: float) -> np.ndarray:
     """Fractional power rebuilt from a precomputed triangular factorization."""
     alpha = _check_alpha(alpha)
-    ft = _triangular_power(fac.triangular, alpha, blocking_delta)
+    ft = _triangular_power(fac.triangular, fac.starts, alpha)
     out = fac.unitary @ ft @ fac.unitary.conj().T
     scale = max(1.0, np.abs(out.real).max())
     if np.abs(out.imag).max() <= 1e-8 * scale:
@@ -316,85 +292,27 @@ def fractional_power_general(m: np.ndarray, alpha: float,
     graph.  Returns a real array when the imaginary residue is negligible,
     otherwise the complex result.
     """
-    return power_from_factorization(triangular_factorization(m), alpha,
-                                    blocking_delta)
+    return power_from_factorization(
+        triangular_factorization(m, blocking_delta), alpha)
 
 
 # ---------------------------------------------------------------------------
 # Matrix exponential
 # ---------------------------------------------------------------------------
 
-# Degree-m diagonal Pade numerator coefficients and swap radii for the
-# scaling-and-squaring method.
-_PADE_COEFFS = {
-    3: (120.0, 60.0, 12.0, 1.0),
-    5: (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
-    7: (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0),
-    9: (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
-        2162160.0, 110880.0, 3960.0, 90.0, 1.0),
-    13: (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-         1187353796428800.0, 129060195264000.0, 10559470521600.0,
-         670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0,
-         16380.0, 182.0, 1.0),
-}
-_PADE_THETA = {
-    3: 1.495585217958292e-2,
-    5: 2.539398330063230e-1,
-    7: 9.504178996162932e-1,
-    9: 2.097847961257068e0,
-    13: 5.371920351148152e0,
-}
-_MAX_SQUARINGS = 64
-
-
-def _pade_uv(a: np.ndarray, degree: int):
-    b = _PADE_COEFFS[degree]
-    n = a.shape[0]
-    ident = np.eye(n, dtype=a.dtype)
-    a2 = a @ a
-    if degree < 13:
-        even = b[0] * ident
-        odd = b[1] * ident
-        apow = ident
-        for k in range(2, degree + 1, 2):
-            apow = apow @ a2
-            even = even + b[k] * apow
-            if k + 1 <= degree:
-                odd = odd + b[k + 1] * apow
-        return a @ odd, even
-    a4 = a2 @ a2
-    a6 = a2 @ a4
-    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
-             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
-    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
-         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
-    return u, v
+# The scaling-and-squaring method needs log2(norm / 5.37) squarings; more
+# than 64 means the input is out of range for any useful exponential.
+_MAX_EXPONENTIAL_NORM = 5.371920351148152 * 2.0 ** 64
 
 
 def matrix_exponential(m: np.ndarray) -> np.ndarray:
-    """exp(M) by scaling and squaring with diagonal Pade approximants."""
+    """exp(M) by scipy's scaling and squaring (scipy.linalg.expm)."""
     m = _require_square(m)
-    a = m.astype(complex) if np.iscomplexobj(m) else m.astype(float)
-    norm = np.abs(a).sum(axis=0).max() if a.size else 0.0
-    squarings = 0
-    degree = 13
-    for deg in (3, 5, 7, 9):
-        if norm <= _PADE_THETA[deg]:
-            degree = deg
-            break
-    if degree == 13 and norm > _PADE_THETA[13]:
-        squarings = int(np.ceil(np.log2(norm / _PADE_THETA[13])))
-        if squarings > _MAX_SQUARINGS:
-            raise NumericError(
-                f"matrix norm {norm:.3e} too large for the exponential")
-        a = a / (2.0 ** squarings)
-    u, v = _pade_uv(a, degree)
-    try:
-        result = scipy.linalg.solve(v - u, v + u)
-    except scipy.linalg.LinAlgError as exc:
-        raise NumericError("Pade denominator is singular") from exc
-    for _ in range(squarings):
-        result = result @ result
+    norm = np.abs(m).sum(axis=0).max() if m.size else 0.0
+    if norm > _MAX_EXPONENTIAL_NORM:
+        raise NumericError(
+            f"matrix norm {norm:.3e} too large for the exponential")
+    result = scipy.linalg.expm(m)
     if not np.all(np.isfinite(result)):
         raise NumericError("matrix exponential overflowed")
     return result

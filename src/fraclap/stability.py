@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import GeneralGenerator, SpectralGenerator, Trajectory, _MatrixCache
+from .dynamics import GeneralGenerator, SpectralGenerator, Trajectory
 from .errors import ConvergenceError, NumericError, QuadratureError
 from .graphs import Graph, connectivity, directed_laplacians
 from .integrators import StepStats, rk45_integrate
@@ -131,12 +132,12 @@ def floquet_exponents(source, schedule: AlphaSchedule, period: float
         if isinstance(generator, SpectralGenerator):
             return floquet_exponents(generator.decomposition, schedule, period)
     n = generator.n
-    cache = _MatrixCache(generator)
+    matrix = functools.lru_cache(maxsize=1)(generator.matrix)
     counting = ClampCountingSchedule(schedule)
 
     def rhs(t, flat):
         p = flat.reshape(n, n)
-        return -(p @ cache.get(counting(t))).ravel()
+        return -(p @ matrix(counting(t))).ravel()
 
     stats = StepStats()
     final = rk45_integrate(rhs, period, np.eye(n).ravel(), np.array([period]),

@@ -28,6 +28,11 @@ def format_float(x) -> str:
     return repr(float(x) + 0.0)  # +0.0 folds -0.0 into 0.0
 
 
+def _csv_rows(table: np.ndarray) -> list[str]:
+    """format_float over a 2-D table, on Python floats rather than numpy scalars."""
+    return [",".join(map(repr, row.tolist())) for row in table + 0.0]
+
+
 def trajectory_table(traj: Trajectory, model: str):
     """Return (column names, 2-D float table) for a trajectory.
 
@@ -61,7 +66,7 @@ def write_trajectory(traj: Trajectory, model: str, path, fmt: str = "csv") -> No
     path = Path(path)
     if fmt == "csv":
         lines = [",".join(columns)]
-        lines += [",".join(format_float(v) for v in row) for row in table]
+        lines += _csv_rows(table)
         path.write_text("\n".join(lines) + "\n")
     elif fmt == "json":
         payload = {"model": model, "columns": columns,
@@ -92,7 +97,7 @@ def write_matrix(m: np.ndarray, path, fmt: str = "csv") -> None:
         raise ValueError("complex matrices have no CSV/JSON writer; "
                          "coerce or save parts separately")
     if fmt == "csv":
-        lines = [",".join(format_float(v) for v in row) for row in m]
+        lines = _csv_rows(m)
         path.write_text("\n".join(lines) + "\n")
     elif fmt == "json":
         payload = {"rows": m.shape[0], "cols": m.shape[1],

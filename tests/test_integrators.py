@@ -1,7 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
-from fraclap.errors import StiffnessError
+from fraclap.errors import NumericError, StiffnessError
 from fraclap.integrators import (
     _DP_B,
     _DP_P,
@@ -18,6 +20,21 @@ def linear_solver_factory(rate):
         return lambda b: b / (1.0 + c * rate)
 
     return make_solver
+
+
+def decay_turning_nan(t_bad):
+    """y' = -y whose derivative turns NaN for t > t_bad."""
+
+    def rhs(t, y):
+        return -y if t <= t_bad else np.full_like(y, np.nan)
+
+    return rhs
+
+
+def step_start(message):
+    """The step start t and size h named in a non-finite step error."""
+    t, h = re.search(r"t=(\S+) \(h=(\S+)\)", message).groups()
+    return float(t), float(h)
 
 
 def test_dense_output_matrix_consistent_with_weights():
@@ -59,6 +76,14 @@ def test_rk45_stiffness_error_carries_partial():
     assert times.size >= 1 and states.shape[0] == times.size
 
 
+def test_rk45_rejects_non_finite_state():
+    with pytest.raises(NumericError, match="rk45 step .* non-finite") as err:
+        rk45_integrate(decay_turning_nan(0.3), 1.0, np.ones(3),
+                       np.linspace(0, 1, 5))
+    t, h = step_start(str(err.value))
+    assert t <= 0.3 < t + h
+
+
 def test_rk45_rejects_bad_sample_times():
     with pytest.raises(ValueError):
         rk45_integrate(lambda t, y: -y, 1.0, np.array([1.0]),
@@ -76,6 +101,14 @@ def test_bdf_scalar_decay_accuracy():
     expected = np.exp(-2.0 * np.linspace(0, 1, 11))
     assert np.abs(out[:, 0] - expected).max() <= 1e-6
     assert stats.linear_solves == stats.accepted + stats.rejected
+
+
+def test_bdf_rejects_non_finite_state():
+    with pytest.raises(NumericError, match="bdf step .* non-finite") as err:
+        bdf_integrate(decay_turning_nan(0.3), linear_solver_factory(1.0), 1.0,
+                      np.ones(3), np.linspace(0, 1, 5))
+    t, h = step_start(str(err.value))
+    assert t <= 0.3 < t + h
 
 
 def test_bdf_reaches_high_order():

@@ -197,6 +197,22 @@ def test_general_power_small_weight_three_cycle(alpha):
     assert np.abs(power.sum(axis=1)).max() <= 1e-12
 
 
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.9])
+def test_general_power_wide_cluster_six_cycle(alpha):
+    # The nonzero eigenvalues 0.1 (1 - exp(2 pi i k / 6)) lie about 0.1
+    # apart and chain into a cluster about as wide as its distance from
+    # zero, where the Taylor series about the cluster mean diverges.
+    g = Graph(6, tuple((i, (i + 1) % 6, 0.1) for i in range(6)), directed=True)
+    l_out, _ = directed_laplacians(g)
+    power = fractional_power_general(l_out, alpha)
+    values, vectors = np.linalg.eig(l_out)
+    powered = np.array([0.0 if abs(v) <= 1e-10 else np.exp(alpha * np.log(v))
+                        for v in values])
+    reference = (vectors * powered) @ np.linalg.inv(vectors)
+    assert np.abs(power - reference).max() <= 1e-13
+    assert np.abs(power.sum(axis=1)).max() <= 1e-13
+
+
 # ---------------------------------------------------------------------------
 # matrix_exponential
 # ---------------------------------------------------------------------------
