@@ -225,6 +225,7 @@ def _sidecar(traj, args, g, problem) -> dict:
         "linear_solves": traj.stats.linear_solves,
         "factorizations": traj.stats.factorizations,
         "clamp_count": traj.stats.clamp_count,
+        "quadrature_panels": traj.stats.quadrature_panels,
         "model": args.model,
         "integrator": args.integrator,
         "schedule": render_schedule(problem.schedule),

@@ -39,7 +39,8 @@ class QuadratureError(NumericError):
     """Adaptive quadrature exhausted its subdivision budget.
 
     ``interval`` is the offending subinterval, ``component`` the index of the
-    integrand component that failed its tolerance (or None for scalars).
+    integrand component that failed its tolerance (None for scalar
+    integrands, or when the budget is too small for the initial panels).
     """
 
     def __init__(self, message, interval=None, component=None):

@@ -55,6 +55,8 @@ class StepStats:
 
     The cores count steps, right-hand sides and solves; the solver provider
     counts factorizations and the dynamics layer records schedule clamps.
+    The closed-form solver counts the exponent-quadrature panels it
+    evaluated, refinements included.
     """
 
     accepted: int = 0
@@ -63,6 +65,7 @@ class StepStats:
     linear_solves: int = 0
     factorizations: int = 0
     clamp_count: int = 0
+    quadrature_panels: int = 0
 
 
 def _error_norm(err, y_ref, rtol, atol):

@@ -1,8 +1,12 @@
-"""Adaptive Simpson quadrature for scalar- or vector-valued integrands.
+"""Batched adaptive Gauss-Kronrod (G7-K15) quadrature on a grid of end points.
 
-Known non-smooth points (schedule jumps, spline knots) are registered as
-mandatory interval boundaries so the adaptive refinement only ever sees
-smooth pieces.
+The interval is cut into panels at every requested end point and every known
+non-smooth point (schedule jumps, spline knots), so the rule only ever sees
+smooth pieces.  Each panel gets the 15-point Kronrod rule; the embedded
+7-point Gauss rule gives the error estimate |K15 - G7|, and a panel whose
+estimate is too large is bisected and evaluated again.  The integrand is
+called on blocks of nodes, never on all nodes at once, so memory stays
+bounded whatever the number of panels.
 """
 
 from __future__ import annotations
@@ -15,69 +19,142 @@ __all__ = ["adaptive_simpson"]
 
 _DEFAULT_TOL = 1e-10
 _MAX_INTERVALS = 2 ** 20
+# Integrand values per call: nodes x components stays below this.
+_BLOCK_VALUES = 2 ** 16
+
+# Kronrod abscissae on [0, 1) in decreasing order (odd positions are the
+# Gauss nodes) and the K15 / G7 weights (Piessens et al., QUADPACK qk15).
+_XK = np.array([
+    0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+    0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245, 0.0])
+_WK = np.array([
+    0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649, 0.209482141084727828012999174891714])
+_WG = np.array([0.0, 0.129484966168869693270611432679082,
+                0.0, 0.279705391489276667901467771423780,
+                0.0, 0.381830050505118944950369775488975,
+                0.0, 0.417959183673469387755102040816327])
+_NODES = np.concatenate([-_XK[:-1], _XK[::-1]])
+# Row 0: K15 weights; row 1: K15 - G7 weights (the error estimate).
+_WEIGHTS = np.stack([np.concatenate([_WK[:-1], _WK[::-1]]),
+                     np.concatenate([_WK[:-1] - _WG[:-1],
+                                     (_WK - _WG)[::-1]])])
 
 
-def adaptive_simpson(f, a: float, b: float, *, tol: float = _DEFAULT_TOL,
-                     breakpoints=(), max_intervals: int = _MAX_INTERVALS):
-    """Integrate f over [a, b] to componentwise absolute tolerance tol.
+def adaptive_simpson(f, a: float, b, *, tol: float = _DEFAULT_TOL,
+                     breakpoints=(), max_intervals: int = _MAX_INTERVALS,
+                     stats=None):
+    """Integrate f from a to b, or from a to each entry of an array b.
+
+    The rule is adaptive G7-K15 Gauss-Kronrod (the name is historical).
+    Panels start at the end points and breakpoints; a panel of width w is
+    accepted when max |K15 - G7| over the components is at most
+    tol * w / (b_max - a), so the total error estimate stays below the
+    componentwise absolute tolerance tol.
 
     Args:
-        f: callable t -> float or 1-D array; the output shape must not vary.
-        breakpoints: points forced to be interval boundaries.
-        max_intervals: bisection budget; exhausting it raises QuadratureError
-            carrying the offending interval and worst component index.
+        f: callable taking a 1-D array of k times and returning k values or
+            a (k, m) array (m components).
+        b: one end point, or a non-decreasing 1-D array of end points >= a.
+        breakpoints: points forced to be panel boundaries.
+        max_intervals: budget of panels evaluated, bisections included;
+            exhausting it raises QuadratureError carrying the offending
+            panel and worst component index.
+        stats: optional object whose ``quadrature_panels`` counter is
+            increased by the number of panels evaluated.
+
+    Returns:
+        For scalar b the integral (a float, or an (m,) array); for array b
+        the cumulative integrals from a to each end point, one row each.
     """
-    if b < a:
-        raise ValueError(f"empty interval [{a}, {b}]")
-    fa = np.asarray(f(a), dtype=float)
-    if a == b:
-        return np.zeros_like(fa) if fa.ndim else 0.0
-    inner = sorted({float(p) for p in breakpoints if a < p < b})
-    bounds = [a, *inner, b]
-    span = b - a
-    total = np.zeros_like(np.atleast_1d(fa))
-    budget = [int(max_intervals)]
-    left_val = fa
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        piece_tol = max(tol * (hi - lo) / span, 1e-300)
-        right_val = np.asarray(f(hi), dtype=float)
-        total = total + _adaptive_piece(f, lo, np.atleast_1d(left_val),
-                                        hi, np.atleast_1d(right_val),
-                                        piece_tol, budget)
-        left_val = right_val
-    return total if fa.ndim else float(total[0])
+    ends = np.atleast_1d(np.asarray(b, dtype=float))
+    if ends.ndim != 1 or ends.size == 0:
+        raise ValueError("end points must be a scalar or a non-empty 1-D array")
+    if ends[0] < a or np.any(np.diff(ends) < 0):
+        raise ValueError(f"empty interval: end points {ends} do not increase "
+                         f"from {a}")
+    top = float(ends[-1])
+    inner = [float(p) for p in breakpoints if a < p < top]
+    grid = np.unique(np.concatenate([[a], ends, inner]))
+    lo, hi = grid[:-1], grid[1:]
+    # Panel -> index of the first end point at or after it.
+    owner = np.searchsorted(ends, hi, side="left")
+    span = top - a
 
-
-def _simpson(h, fa, fm, fb):
-    return (h / 6.0) * (fa + 4.0 * fm + fb)
-
-
-def _adaptive_piece(f, a, fa, b, fb, tol, budget, min_depth=3):
-    m = 0.5 * (a + b)
-    fm = np.atleast_1d(np.asarray(f(m), dtype=float))
-    total = np.zeros_like(fa)
-    stack = [(a, fa, m, fm, b, fb, _simpson(b - a, fa, fm, fb), tol, 0)]
-    while stack:
-        a0, f0, m0, fm0, b0, f1, whole, tol0, depth = stack.pop()
-        budget[0] -= 1
-        if budget[0] < 0:
-            worst = int(np.argmax(np.abs(whole)))
+    if lo.size > max_intervals:
+        raise QuadratureError(
+            f"quadrature needs {lo.size} panels, budget is {max_intervals}",
+            interval=(float(a), top), component=None)
+    evaluated = 0
+    parts = []
+    scalar = False
+    while lo.size:
+        values, errors, scalar = _evaluate(f, lo, hi)
+        evaluated += lo.size
+        worst = errors.max(axis=1)
+        width = hi - lo
+        done = (worst <= tol * width / span) \
+            | (width <= 1e-14 * (1.0 + np.abs(lo)))
+        parts.append((owner[done], values[done]))
+        bad = ~done
+        if not bad.any():
+            break
+        if evaluated + 2 * int(bad.sum()) > max_intervals:
+            if stats is not None:
+                stats.quadrature_panels += evaluated
+            i = int(np.flatnonzero(bad)[np.argmax(worst[bad])])
             raise QuadratureError(
-                f"quadrature budget exhausted on [{a0}, {b0}]",
-                interval=(a0, b0), component=worst)
-        lm = 0.5 * (a0 + m0)
-        rm = 0.5 * (m0 + b0)
-        flm = np.atleast_1d(np.asarray(f(lm), dtype=float))
-        frm = np.atleast_1d(np.asarray(f(rm), dtype=float))
-        left = _simpson(m0 - a0, f0, flm, fm0)
-        right = _simpson(b0 - m0, fm0, frm, f1)
-        delta = left + right - whole
-        converged = np.max(np.abs(delta)) <= 15.0 * tol0 and depth >= min_depth
-        # Width floor: nothing left to resolve below ~machine spacing.
-        if converged or (b0 - a0) <= 1e-14 * (1 + abs(a0)):
-            total = total + left + right + delta / 15.0
-        else:
-            half = 0.5 * tol0
-            stack.append((a0, f0, lm, flm, m0, fm0, left, half, depth + 1))
-            stack.append((m0, fm0, rm, frm, b0, f1, right, half, depth + 1))
-    return total
+                f"quadrature budget exhausted on [{lo[i]}, {hi[i]}]",
+                interval=(float(lo[i]), float(hi[i])),
+                component=None if scalar else int(np.argmax(errors[i])))
+        mid = 0.5 * (lo[bad] + hi[bad])
+        lo = np.concatenate([lo[bad], mid])
+        hi = np.concatenate([mid, hi[bad]])
+        owner = np.tile(owner[bad], 2)
+    if stats is not None:
+        stats.quadrature_panels += evaluated
+
+    if not parts:  # every end point equals a
+        fa = np.asarray(f(np.array([float(a)])), dtype=float)
+        scalar = fa.ndim == 1
+        parts.append((owner, np.empty((0, 1 if scalar else fa.shape[1]))))
+    totals = np.zeros((ends.size, parts[0][1].shape[1]))
+    for idx, vals in parts:
+        np.add.at(totals, idx, vals)
+    cumulative = np.cumsum(totals, axis=0)
+    if scalar:
+        cumulative = cumulative[:, 0]
+    if np.ndim(b) == 0:
+        return float(cumulative[0]) if scalar else cumulative[0]
+    return cumulative
+
+
+def _evaluate(f, lo, hi):
+    """K15 values and |K15 - G7| estimates of f on the panels [lo, hi].
+
+    Returns two (panels, m) arrays and whether f is scalar-valued (m = 1).
+    """
+    centre = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    values = errors = None
+    scalar = False
+    start, per_block = 0, 1  # the first block finds m
+    while start < lo.size:
+        stop = min(lo.size, start + per_block)
+        ts = centre[start:stop, None] + half[start:stop, None] * _NODES
+        fx = np.asarray(f(ts.ravel()), dtype=float)
+        if values is None:
+            scalar = fx.ndim == 1
+            m = 1 if scalar else fx.shape[1]
+            values, errors = np.empty((lo.size, m)), np.empty((lo.size, m))
+            per_block = max(1, _BLOCK_VALUES // (_NODES.size * m))
+        both = np.tensordot(_WEIGHTS, fx.reshape(stop - start, _NODES.size, -1),
+                            axes=([1], [1]))
+        values[start:stop] = half[start:stop, None] * both[0]
+        errors[start:stop] = np.abs(half[start:stop, None] * both[1])
+        start = stop
+    return values, errors, scalar

@@ -4,7 +4,8 @@ Six parametric families are provided.  Evaluation clamps into
 [ALPHA_MIN, 1] so that schedules touching 0 (the exponential ramp at t=0,
 splines overshooting between knots) stay inside the admissible range of the
 fractional power.  Clamp events can be counted per integration run through
-ClampCountingSchedule.
+ClampCountingSchedule.  Schedules take a float or an ndarray of times and
+return a float or an ndarray of the same shape.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import ScheduleError
 
@@ -39,11 +39,12 @@ ALPHA_MIN = 1e-6
 class AlphaSchedule:
     """Base class: subclasses implement ``raw``; calls are clamped."""
 
-    def raw(self, t: float) -> float:
+    def raw(self, t):
+        """Unclamped alpha at a float time or an ndarray of times."""
         raise NotImplementedError
 
-    def __call__(self, t: float) -> float:
-        return min(1.0, max(ALPHA_MIN, self.raw(t)))
+    def __call__(self, t):
+        return _clamp(self.raw(t))
 
     def breakpoints(self, t0: float, t1: float) -> tuple[float, ...]:
         """Non-smooth points strictly inside (t0, t1), for quadrature."""
@@ -52,6 +53,17 @@ class AlphaSchedule:
     @property
     def period(self) -> float | None:
         return None
+
+
+def _is_array(raw) -> bool:
+    # Cheaper than np.ndim on the scalar path the integrators take per step.
+    return isinstance(raw, np.ndarray) and raw.ndim > 0
+
+
+def _clamp(raw):
+    if _is_array(raw):
+        return np.clip(raw, ALPHA_MIN, 1.0)
+    return min(1.0, max(ALPHA_MIN, float(raw)))
 
 
 def evaluate_schedule(schedule: AlphaSchedule, t: float) -> float:
@@ -70,7 +82,7 @@ class ConstantSchedule(AlphaSchedule):
             raise ScheduleError(f"constant alpha must lie in (0, 1], got {self.value}")
 
     def raw(self, t):
-        return self.value
+        return np.full(np.shape(t), self.value) if _is_array(t) else self.value
 
 
 @dataclass(frozen=True)
@@ -94,7 +106,7 @@ class SineSchedule(AlphaSchedule):
                 f"sine range dips below 0: base-amp = {self.base - self.amplitude}")
 
     def raw(self, t):
-        return self.base + self.amplitude * math.sin(self.angular_frequency * t)
+        return self.base + self.amplitude * np.sin(self.angular_frequency * t)
 
     def breakpoints(self, t0, t1):
         # Quarter-period pieces are monotone, which defeats the aliasing a
@@ -117,7 +129,7 @@ class ExpSaturatingSchedule(AlphaSchedule):
             raise ScheduleError("saturation rate must be > 0")
 
     def raw(self, t):
-        return 1.0 - math.exp(-self.rate * t)
+        return 1.0 - np.exp(-self.rate * t)
 
 
 def _periodic_interior_points(step: float, t0: float, t1: float):
@@ -139,7 +151,7 @@ class SawtoothSchedule(AlphaSchedule):
         _check_band(self.lo, self.hi, self.period_, "sawtooth")
 
     def raw(self, t):
-        phase = t / self.period_ - math.floor(t / self.period_)
+        phase = t / self.period_ - np.floor(t / self.period_)
         return self.lo + (self.hi - self.lo) * phase
 
     def breakpoints(self, t0, t1):
@@ -162,8 +174,8 @@ class TriangularSchedule(AlphaSchedule):
         _check_band(self.lo, self.hi, self.period_, "triangular")
 
     def raw(self, t):
-        phase = t / self.period_ - math.floor(t / self.period_)
-        frac = 2.0 * phase if phase <= 0.5 else 2.0 * (1.0 - phase)
+        phase = t / self.period_ - np.floor(t / self.period_)
+        frac = np.where(phase <= 0.5, 2.0 * phase, 2.0 * (1.0 - phase))
         return self.lo + (self.hi - self.lo) * frac
 
     def breakpoints(self, t0, t1):
@@ -202,12 +214,16 @@ class SplineSchedule(AlphaSchedule):
                     f"spline knot value {v} at t={t} outside (0, 1]")
 
     @cached_property
-    def _spline(self) -> CubicSpline:
+    def _spline(self):
+        # Imported here: scipy.interpolate (and the scipy.optimize it pulls
+        # in) would otherwise dominate the cost of importing the package.
+        from scipy.interpolate import CubicSpline
+
         return CubicSpline(self.knot_times, self.knot_values,
                            bc_type="not-a-knot")
 
     def raw(self, t):
-        return float(self._spline(t))
+        return self._spline(t)
 
     def breakpoints(self, t0, t1):
         return tuple(t for t in self.knot_times if t0 < t < t1)
@@ -217,19 +233,21 @@ class ClampCountingSchedule:
     """Per-run wrapper that counts clamped evaluations.
 
     The wrapped schedule stays immutable; each integration run owns one
-    counter, which keeps concurrent runs independent.
+    counter, which keeps concurrent runs independent.  An array call counts
+    each clamped entry.
     """
 
     def __init__(self, schedule: AlphaSchedule):
         self.schedule = schedule
         self.clamps = 0
 
-    def __call__(self, t: float) -> float:
+    def __call__(self, t):
         raw = self.schedule.raw(t)
-        if raw < ALPHA_MIN or raw > 1.0:
+        if _is_array(raw):
+            self.clamps += int(np.count_nonzero((raw < ALPHA_MIN) | (raw > 1.0)))
+        elif raw < ALPHA_MIN or raw > 1.0:
             self.clamps += 1
-            return min(1.0, max(ALPHA_MIN, raw))
-        return raw
+        return _clamp(raw)
 
     def breakpoints(self, t0, t1):
         return self.schedule.breakpoints(t0, t1)
@@ -313,8 +331,7 @@ def _probe_range(schedule: AlphaSchedule) -> None:
     lo, hi = _probe_window(schedule)
     if hi <= lo:
         return
-    ts = np.linspace(lo, hi, _PROBE_POINTS)
-    raws = np.array([schedule.raw(t) for t in ts])
+    raws = schedule.raw(np.linspace(lo, hi, _PROBE_POINTS))
     clamped = np.count_nonzero((raws < ALPHA_MIN) | (raws > 1.0))
     if clamped > _MAX_CLAMP_FRACTION * _PROBE_POINTS:
         raise ScheduleError(

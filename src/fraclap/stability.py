@@ -7,12 +7,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import GeneralGenerator, SpectralGenerator, Trajectory
-from .errors import ConvergenceError, NumericError, QuadratureError
+from .dynamics import (
+    GeneralGenerator,
+    SpectralGenerator,
+    Trajectory,
+    _exponent_integrals,
+)
+from .errors import NumericError
 from .graphs import Graph, connectivity, directed_laplacians
 from .integrators import StepStats, rk45_integrate
 from .matfun import SpectralDecomposition, fractional_power_sym
-from .quadrature import adaptive_simpson
 from .schedules import AlphaSchedule, ClampCountingSchedule
 
 __all__ = [
@@ -57,23 +61,6 @@ def steady_state(g: Graph) -> np.ndarray:
     return vec / total
 
 
-def _exponent_integrals(lam, schedule, t0, t1, tol=1e-10):
-    counting = schedule if isinstance(schedule, ClampCountingSchedule) \
-        else ClampCountingSchedule(schedule)
-
-    def integrand(tau):
-        return lam ** counting(tau)
-
-    try:
-        return adaptive_simpson(integrand, t0, t1, tol=tol,
-                                breakpoints=counting.breakpoints(t0, t1))
-    except QuadratureError as exc:
-        bad = exc.component if exc.component is not None else 0
-        raise ConvergenceError(
-            f"exponent quadrature failed for eigenvalue {lam[bad]!r} "
-            f"on interval {exc.interval}") from exc
-
-
 def antiderivative_commutator_residual(d: SpectralDecomposition,
                                        schedule: AlphaSchedule,
                                        t: float) -> float:
@@ -85,8 +72,7 @@ def antiderivative_commutator_residual(d: SpectralDecomposition,
     if t < 0:
         raise ValueError("t must be >= 0")
     lam = d.clamped_eigenvalues()
-    integrals = _exponent_integrals(lam, schedule, 0.0, t) if t > 0 \
-        else np.zeros_like(lam)
+    integrals = _exponent_integrals(lam, schedule, [t])[0]
     power_now = fractional_power_sym(d, schedule(t))
     antider = (d.basis * integrals) @ d.basis.T
     residual = power_now @ antider - antider @ power_now
@@ -109,8 +95,10 @@ def floquet_exponents(source, schedule: AlphaSchedule, period: float
 
     For a symmetric generator the monodromy diagonalizes in the shared
     eigenbasis, so the exponents are -(1/T) * int_0^T lambda_i^{alpha} dtau,
-    all real.  For a general matrix the monodromy is integrated to tight
-    tolerance and its eigenvalue logarithms are divided by T.  Exponents are
+    all real, with the integrals from the batched Gauss-Kronrod quadrature
+    of exact_solution (tolerance 1e-10 per eigenvalue).  For a general
+    matrix the monodromy is integrated to tight tolerance and its
+    eigenvalue logarithms are divided by T.  Exponents are
     sorted by decreasing real part (the conserved direction comes first).
     """
     _check_periodic(schedule, period)
@@ -118,7 +106,7 @@ def floquet_exponents(source, schedule: AlphaSchedule, period: float
         source = source.decomposition
     if isinstance(source, SpectralDecomposition):
         lam = source.clamped_eigenvalues()
-        integrals = _exponent_integrals(lam, schedule, 0.0, period)
+        integrals = _exponent_integrals(lam, schedule, [period])[0]
         exponents = (-integrals / period).astype(complex)
         return exponents[np.argsort(-exponents.real, kind="stable")]
 

@@ -2,11 +2,16 @@
 
 Floats are rendered with repr(), the shortest decimal form that round-trips
 exactly, so written files can be compared bitwise and re-read without loss.
+Every writer fills a temporary file in the target directory and renames it
+over the target, so a failure part-way leaves the previous file untouched.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
+import os
+import uuid
 from pathlib import Path
 
 import numpy as np
@@ -28,9 +33,26 @@ def format_float(x) -> str:
     return repr(float(x) + 0.0)  # +0.0 folds -0.0 into 0.0
 
 
-def _csv_rows(table: np.ndarray) -> list[str]:
-    """format_float over a 2-D table, on Python floats rather than numpy scalars."""
-    return [",".join(map(repr, row.tolist())) for row in table + 0.0]
+def _csv_rows(table: np.ndarray):
+    """format_float over a 2-D table, on Python floats rather than numpy scalars.
+
+    Yields one newline-terminated line per row.
+    """
+    for row in table + 0.0:
+        yield ",".join(map(repr, row.tolist())) + "\n"
+
+
+def _write_atomic(path, chunks) -> None:
+    """Write the text chunks to path through a temporary file and a rename."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        with open(tmp, "x") as fh:
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def trajectory_table(traj: Trajectory, model: str):
@@ -63,15 +85,13 @@ def trajectory_table(traj: Trajectory, model: str):
 
 def write_trajectory(traj: Trajectory, model: str, path, fmt: str = "csv") -> None:
     columns, table = trajectory_table(traj, model)
-    path = Path(path)
     if fmt == "csv":
-        lines = [",".join(columns)]
-        lines += _csv_rows(table)
-        path.write_text("\n".join(lines) + "\n")
+        _write_atomic(path, itertools.chain([",".join(columns) + "\n"],
+                                            _csv_rows(table)))
     elif fmt == "json":
         payload = {"model": model, "columns": columns,
                    "rows": [[float(v) for v in row] for row in table]}
-        path.write_text(json.dumps(payload) + "\n")
+        _write_atomic(path, [json.dumps(payload), "\n"])
     else:
         raise ValueError(f"unknown output format {fmt!r}")
 
@@ -92,32 +112,29 @@ def read_trajectory(path, fmt: str | None = None):
 
 def write_matrix(m: np.ndarray, path, fmt: str = "csv") -> None:
     m = np.asarray(m)
-    path = Path(path)
     if np.iscomplexobj(m):
         raise ValueError("complex matrices have no CSV/JSON writer; "
                          "coerce or save parts separately")
     if fmt == "csv":
-        lines = _csv_rows(m)
-        path.write_text("\n".join(lines) + "\n")
+        _write_atomic(path, _csv_rows(m))
     elif fmt == "json":
         payload = {"rows": m.shape[0], "cols": m.shape[1],
                    "entries": [[float(v) for v in row] for row in m]}
-        path.write_text(json.dumps(payload) + "\n")
+        _write_atomic(path, [json.dumps(payload), "\n"])
     else:
         raise ValueError(f"unknown output format {fmt!r}")
 
 
 def write_spectrum(values: np.ndarray, path, fmt: str = "csv") -> None:
     values = np.asarray(values, dtype=float)
-    path = Path(path)
     if fmt == "csv":
-        path.write_text("\n".join(format_float(v) for v in values) + "\n")
+        _write_atomic(path, ["\n".join(format_float(v) for v in values), "\n"])
     elif fmt == "json":
         payload = {"eigenvalues": [float(v) for v in values]}
-        path.write_text(json.dumps(payload) + "\n")
+        _write_atomic(path, [json.dumps(payload), "\n"])
     else:
         raise ValueError(f"unknown output format {fmt!r}")
 
 
 def write_json(obj, path) -> None:
-    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    _write_atomic(path, [json.dumps(obj, indent=2, sort_keys=True), "\n"])

@@ -94,6 +94,19 @@ def test_simulate_exact_reaches_uniform(c4_path, tmp_path):
     assert np.abs(table[-1, 1:] - 0.25).max() <= 1e-5
 
 
+@pytest.mark.parametrize("integrator", ["exact", "rk45"])
+def test_simulate_stats_count_quadrature_panels(c4_path, tmp_path, integrator):
+    out = str(tmp_path / "traj.csv")
+    assert main(["simulate", "--graph", c4_path, "--alpha",
+                 "sin:0.5,0.4,12.566370614359172", "--integrator", integrator,
+                 "--t-end", "2", "--seed", "3", "--out", out]) == 0
+    panels = json.load(open(out + ".stats.json"))["quadrature_panels"]
+    if integrator == "exact":
+        assert panels >= 199  # at least one panel per sample interval
+    else:
+        assert panels == 0
+
+
 def test_simulate_is_byte_deterministic(c4_path, tmp_path):
     args = ["simulate", "--graph", c4_path, "--alpha",
             "sin:0.5,0.4,12.566370614359172", "--integrator", "rk45",

@@ -6,7 +6,7 @@ from fraclap import QuadratureError, SawtoothSchedule, SineSchedule, adaptive_si
 
 
 def test_exact_on_cubic():
-    # Simpson integrates cubics exactly; no refinement needed.
+    # K15 integrates cubics exactly; no refinement needed.
     assert abs(adaptive_simpson(lambda t: t ** 3, 0.0, 2.0) - 4.0) <= 1e-13
 
 
@@ -21,7 +21,7 @@ def test_vector_integrand_against_quad():
     lam = np.array([0.0, 0.5, 2.0, 4.0])
 
     def integrand(tau):
-        return lam ** sched(tau)
+        return lam ** sched(tau)[:, None]
 
     result = adaptive_simpson(integrand, 0.0, 2.0, tol=1e-11)
     for i, l in enumerate(lam):

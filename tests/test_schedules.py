@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -163,3 +167,16 @@ def test_parse_rejects_band_out_of_range():
 def test_render_parse_round_trip(descriptor):
     schedule = parse_schedule(descriptor)
     assert parse_schedule(render_schedule(schedule)) == schedule
+
+
+def test_import_leaves_scipy_interpolate_unloaded():
+    import fraclap
+
+    src = str(Path(fraclap.__file__).resolve().parents[1])
+    code = "import sys, fraclap; print('scipy.interpolate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=dict(os.environ, PYTHONPATH=src),
+                         timeout=60)
+    assert out.stdout.strip() == "False"
+    spline = SplineSchedule((0.0, 1.0, 2.0), (0.2, 0.8, 0.5))
+    assert spline(1.0) == 0.8  # the spline still builds on first use

@@ -3,6 +3,8 @@ import json
 import numpy as np
 import pytest
 
+from fraclap import trajio
+
 from fraclap import (
     ConstantSchedule,
     DynamicsProblem,
@@ -16,6 +18,7 @@ from fraclap.trajio import (
     format_float,
     read_trajectory,
     trajectory_table,
+    write_json,
     write_matrix,
     write_spectrum,
     write_trajectory,
@@ -109,3 +112,33 @@ def test_unknown_format_rejected(c4, tmp_path):
     traj = heat_traj(c4, [0.0, 1.0])
     with pytest.raises(ValueError, match="format"):
         write_trajectory(traj, "heat", tmp_path / "x.bin", fmt="bin")
+
+
+def test_failed_write_keeps_previous_file(c4, tmp_path, monkeypatch):
+    path = tmp_path / "traj.csv"
+    write_trajectory(heat_traj(c4, [0.0, 1.0]), "heat", path)
+    before = path.read_bytes()
+    rows = trajio._csv_rows
+
+    def failing_rows(table):
+        gen = rows(table)
+        yield next(gen)  # one row reaches the file, then the disk fills up
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(trajio, "_csv_rows", failing_rows)
+    with pytest.raises(OSError, match="no space"):
+        write_trajectory(heat_traj(c4, np.linspace(0.0, 1.0, 5)), "heat", path)
+    with pytest.raises(OSError, match="no space"):
+        write_matrix(np.eye(3), path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["traj.csv"]
+
+
+def test_writers_replace_files_whole(tmp_path):
+    path = tmp_path / "out.json"
+    write_json({"a": [1, 2, 3]}, path)
+    write_json({"b": 1}, path)
+    assert json.loads(path.read_text()) == {"b": 1}
+    write_spectrum(np.array([1.0]), path)
+    assert path.read_text() == "1.0\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
