@@ -203,11 +203,6 @@ def _build_problem(g: graphs.Graph, args):
     config = dynamics.IntegratorConfig(
         method=args.integrator, rtol=float(args.rtol), atol=float(args.atol),
         samples=int(args.samples))
-    if config.method == "exact" and not isinstance(
-            generator, dynamics.SpectralGenerator):
-        raise ConfigError(
-            "the exact integrator needs a symmetric Laplacian kind "
-            "(comb or nsym)")
     return problem, config
 
 
@@ -226,6 +221,8 @@ def _sidecar(traj, args, g, problem) -> dict:
         "factorizations": traj.stats.factorizations,
         "clamp_count": traj.stats.clamp_count,
         "quadrature_panels": traj.stats.quadrature_panels,
+        "generator_route": problem.generator.route,
+        "eigvec_condition": problem.generator.eigvec_condition,
         "model": args.model,
         "integrator": args.integrator,
         "schedule": render_schedule(problem.schedule),
@@ -263,7 +260,7 @@ def cmd_power(args) -> int:
     if kind in ("comb", "nsym"):
         powered = matfun.fractional_power_sym(matfun.sym_eig(base), alpha)
     else:
-        powered = matfun.fractional_power_general(base, alpha)
+        powered = dynamics.GeneralGenerator.from_matrix(base).matrix(alpha)
         if np.iscomplexobj(powered):
             raise NumericError(
                 "fractional power has a non-negligible imaginary part")
@@ -284,11 +281,12 @@ def cmd_spectrum(args) -> int:
     g = _load_graph(args)
     if g.directed:
         raise ConfigError("spectrum needs an undirected graph")
-    matrix = _laplacian_matrix(g, args)
     if args.laplacian == "nrw":
-        values = np.sort(np.linalg.eigvals(matrix).real)
+        # I - D^-1 A is similar to I - D^-1/2 A D^-1/2, which is symmetric.
+        matrix = graphs.normalized_laplacians(g)[1]
     else:
-        values = np.linalg.eigvalsh(matrix)
+        matrix = _laplacian_matrix(g, args)
+    values = np.linalg.eigvalsh(matrix)
     trajio.write_spectrum(values, _require_out(args), args.out_format)
     return EXIT_OK
 

@@ -5,23 +5,36 @@ generator G(t) is either a fractional Laplacian power L^{alpha(t)} or the
 alpha(t)-weighted hop-coupling operator.  For symmetric generators every
 integration runs in the shared eigenbasis, where the system decouples into
 scalar equations q_i' = -lambda_i^{alpha(t)} q_i; entry/exit basis changes
-cost O(n^2) once while each right-hand-side call is O(n).
+cost O(n^2) once while each right-hand-side call is O(n).  Non-symmetric
+generators integrate in state space (error control stays on p, where an
+eigenbasis with condition number kappa(V) would amplify it), but a
+diagonalizable one assembles each L^alpha as one product V diag(lambda^alpha)
+V^-1 and has the same closed-form solution as a symmetric one.
 """
 
 from __future__ import annotations
 
 import functools
+import logging
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from .errors import ConvergenceError, QuadratureError, StiffnessError
+from .errors import (
+    ConvergenceError,
+    NumericError,
+    QuadratureError,
+    StiffnessError,
+)
 from .graphs import DistanceMatrix, Graph, _hop_coupling, _k_path_distances
 from .integrators import StepStats, bdf_integrate, rk45_integrate
 from .matfun import (
+    EigenFactorization,
     SpectralDecomposition,
     TriangularFactorization,
+    _real_if_negligible,
+    eigen_factorization,
     fractional_power_sym,
     power_from_factorization,
     sym_eig,
@@ -47,6 +60,18 @@ __all__ = [
 ]
 
 _QUAD_TOL = 1e-10
+# Largest condition number of the eigenvector matrix for which a
+# non-symmetric generator takes the eigenvalue route; rounding in
+# V diag(lambda^alpha) V^-1 grows like eps * kappa(V).
+EIGVEC_CONDITION_LIMIT = 1e4
+
+_log = logging.getLogger(__name__)
+
+
+def _log_built(generator) -> None:
+    _log.debug("%s built: n=%d route=%s kappa(V)=%s",
+               type(generator).__name__, generator.n, generator.route,
+               generator.eigvec_condition)
 
 
 # ---------------------------------------------------------------------------
@@ -58,6 +83,11 @@ class SpectralGenerator:
     """L^alpha for a symmetric Laplacian; all powers share one eigenbasis."""
 
     decomposition: SpectralDecomposition
+    route = "symmetric"
+    eigvec_condition = None
+
+    def __post_init__(self):
+        _log_built(self)
 
     @classmethod
     def from_matrix(cls, m: np.ndarray) -> "SpectralGenerator":
@@ -84,13 +114,38 @@ class SpectralGenerator:
 
 @dataclass(frozen=True)
 class GeneralGenerator:
-    """L^alpha for a non-symmetric Laplacian via a triangular factorization."""
+    """L^alpha for a non-symmetric Laplacian, on one of two routes.
 
-    factorization: TriangularFactorization
+    One triangular factorization Q T Q* is computed and the eigenvectors of
+    T are read off it.  When kappa(V) <= EIGVEC_CONDITION_LIMIT the
+    generator keeps the diagonalization (route "eigen": each power is one
+    product); otherwise it keeps the triangular factorization (route
+    "schur": the block-column recurrence, which needs neither
+    diagonalizability nor a bound on kappa).  eigvec_condition is kappa(V),
+    or inf when V is singular.
+    """
+
+    factorization: EigenFactorization | TriangularFactorization
+    eigvec_condition: float
+
+    def __post_init__(self):
+        _log_built(self)
 
     @classmethod
     def from_matrix(cls, m: np.ndarray) -> "GeneralGenerator":
-        return cls(triangular_factorization(m))
+        schur = triangular_factorization(m)
+        try:
+            eigen = eigen_factorization(schur)
+        except NumericError:
+            return cls(schur, float("inf"))
+        if eigen.condition <= EIGVEC_CONDITION_LIMIT:
+            return cls(eigen, eigen.condition)
+        return cls(schur, eigen.condition)
+
+    @property
+    def route(self) -> str:
+        return ("eigen" if isinstance(self.factorization, EigenFactorization)
+                else "schur")
 
     @property
     def n(self) -> int:
@@ -99,6 +154,9 @@ class GeneralGenerator:
     @property
     def is_symmetric(self) -> bool:
         return False
+
+    def clamped_eigenvalues(self) -> np.ndarray:
+        return self.factorization.clamped_eigenvalues()
 
     def matrix(self, alpha: float) -> np.ndarray:
         return power_from_factorization(self.factorization, alpha)
@@ -114,6 +172,11 @@ class KPathGenerator:
     """
 
     distances: DistanceMatrix
+    route = "kpath"
+    eigvec_condition = None
+
+    def __post_init__(self):
+        _log_built(self)
 
     @classmethod
     def from_graph(cls, g: Graph) -> "KPathGenerator":
@@ -392,44 +455,87 @@ def integrate_bdf(problem: DynamicsProblem,
 def _exponent_integrals(lam, schedule, times, tol=_QUAD_TOL, stats=None):
     """I_i(t) = int_0^t lam_i^{alpha(tau)} dtau at each time, one row per time.
 
+    Complex eigenvalues (principal branch, 0^alpha := 0) are integrated as
+    one real integrand [Re lam^alpha, Im lam^alpha] and returned complex.
     A quadrature failure surfaces as ConvergenceError naming the eigenvalue.
     """
     times = np.asarray(times, dtype=float)
+    if np.iscomplexobj(lam):
+        zero = lam == 0
+        log_lam = np.log(np.where(zero, 1.0, lam))
 
-    def integrand(tau):
-        return lam ** schedule(tau)[:, None]
+        def integrand(tau):
+            powered = np.where(zero, 0.0,
+                               np.exp(schedule(tau)[:, None] * log_lam))
+            return np.concatenate([powered.real, powered.imag], axis=1)
+    else:
+        def integrand(tau):
+            return lam ** schedule(tau)[:, None]
 
     try:
-        return adaptive_simpson(integrand, 0.0, times, tol=tol,
-                                breakpoints=schedule.breakpoints(0.0, times[-1]),
-                                stats=stats)
+        integrals = adaptive_simpson(
+            integrand, 0.0, times, tol=tol,
+            breakpoints=schedule.breakpoints(0.0, times[-1]), stats=stats)
     except QuadratureError as exc:
-        bad = exc.component if exc.component is not None else 0
+        bad = exc.component % lam.size if exc.component is not None else 0
         raise ConvergenceError(
             f"exponent quadrature failed for eigenvalue {lam[bad]!r} "
             f"on interval {exc.interval}") from exc
+    if np.iscomplexobj(lam):
+        return integrals[:, :lam.size] + 1j * integrals[:, lam.size:]
+    return integrals
+
+
+def _closed_form_factors(generator):
+    """(lambda, V, W) with V diag(lambda) W the generator's Laplacian."""
+    if isinstance(generator, SpectralGenerator):
+        return generator.clamped_eigenvalues(), generator.basis, \
+            generator.basis.T
+    if isinstance(generator, GeneralGenerator) and generator.route == "eigen":
+        fac = generator.factorization
+        return fac.clamped_eigenvalues(), fac.vectors, fac.inverse
+    if isinstance(generator, GeneralGenerator):
+        raise ValueError(
+            "the closed-form solution needs a symmetric generator or a "
+            "diagonalizable one: kappa(V) = "
+            f"{generator.eigvec_condition:.3g} exceeds the limit "
+            f"{EIGVEC_CONDITION_LIMIT:.0e}, so this generator is on the "
+            "Schur route")
+    raise ValueError(
+        "the closed-form solution needs a fractional Laplacian generator; "
+        "hop-coupling exponents do not share an eigenbasis")
+
+
+def _real_product(x, m):
+    """x @ m for a real m, as two real products when x is complex."""
+    if not np.iscomplexobj(x) or np.iscomplexobj(m):
+        return x @ m
+    out = np.empty((x.shape[0], m.shape[1]), dtype=complex)
+    out.real = np.ascontiguousarray(x.real) @ m
+    out.imag = np.ascontiguousarray(x.imag) @ m
+    return out
 
 
 def exact_solution(problem: DynamicsProblem, sample_times=None,
                    quad_tol: float = _QUAD_TOL) -> Trajectory:
     """Closed-form solution p0 exp(-integral of L^{alpha(tau)} dtau).
 
-    Valid because all powers of a symmetric Laplacian commute (shared
-    eigenbasis): each eigen-coordinate obeys a scalar equation whose exponent
-    integral I_i(t) = int_0^t lambda_i^{alpha(tau)} dtau comes from one
-    batched adaptive Gauss-Kronrod (G7-K15) pass over all sample times and
-    eigenvalues, with total error estimate below quad_tol per eigenvalue.
-    Every sample is then formed in one product (coords0 * exp(-I)) @ V^T
-    (exp(-iI) for the Schrodinger model).  stats.quadrature_panels counts
-    the panels evaluated and stats.clamp_count the clamped Gauss nodes.
+    Valid because all powers of one diagonalizable Laplacian V diag(lambda) W
+    commute (shared eigenbasis): each eigen-coordinate obeys a scalar
+    equation whose exponent integral I_i(t) = int_0^t lambda_i^{alpha(tau)}
+    dtau comes from one batched adaptive Gauss-Kronrod (G7-K15) pass over
+    all sample times and eigenvalues, with total error estimate below
+    quad_tol per eigenvalue (per real and imaginary part when lambda is
+    complex).  Every sample is then formed in one product
+    ((p0 V) * exp(-I)) @ W (exp(-iI) for the Schrodinger model), where W is
+    V^T for a symmetric generator and V^-1 for an eigenvalue-route
+    non-symmetric one; Schur-route and hop-coupling generators are rejected.
+    A heat state keeps its real part, after a check that the imaginary
+    residue is rounding noise.  stats.quadrature_panels counts the panels
+    evaluated and stats.clamp_count the clamped Gauss nodes.
     """
-    if not isinstance(problem.generator, SpectralGenerator):
-        raise ValueError(
-            "the closed-form solution needs a symmetric generator with a "
-            "time-independent eigenbasis")
+    lam, vectors, inverse = _closed_form_factors(problem.generator)
     counting = ClampCountingSchedule(problem.schedule)
-    lam = problem.generator.clamped_eigenvalues()
-    basis = problem.generator.basis
     if sample_times is None:
         sample_times = np.linspace(0.0, problem.horizon, 200)
     samples = np.asarray(sample_times, dtype=float)
@@ -441,8 +547,14 @@ def exact_solution(problem: DynamicsProblem, sample_times=None,
     stats = StepStats()
     integrals = _exponent_integrals(lam, counting, samples, quad_tol, stats)
     phase = -integrals if problem.model == "heat" else -1j * integrals
-    coords0 = problem.initial_state @ basis
-    states = (coords0 * np.exp(phase)) @ basis.T
+    coords0 = problem.initial_state @ vectors
+    states = _real_product(coords0 * np.exp(phase), inverse)
+    if problem.model == "heat" and np.iscomplexobj(states):
+        states = _real_if_negligible(states)
+        if np.iscomplexobj(states):
+            raise NumericError(
+                "closed-form heat states have an imaginary part up to "
+                f"{np.abs(states.imag).max():.3e}")
     return _finish(problem, samples, states, stats, counting.clamps)
 
 

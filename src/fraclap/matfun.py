@@ -1,9 +1,11 @@
 """Eigendecompositions and matrix functions for Laplacian matrices.
 
 Symmetric matrices go through an orthogonal eigendecomposition; general
-(directed-graph) matrices go through a unitary triangular factorization with
-a blocked triangular recurrence for f(T).  The latter replaces the Jordan
-canonical form, which is not computable in floating point.
+(directed-graph) matrices go through a unitary triangular factorization.
+When the eigenvector matrix read off that factorization is well conditioned,
+powers are V diag(lambda^alpha) V^-1; otherwise a blocked triangular
+recurrence computes f(T), which replaces the Jordan canonical form (not
+computable in floating point).
 """
 
 from __future__ import annotations
@@ -20,11 +22,13 @@ from .errors import ConvergenceError, NumericError
 __all__ = [
     "SpectralDecomposition",
     "TriangularFactorization",
+    "EigenFactorization",
     "sym_eig",
     "fractional_power_sym",
     "fractional_power_general",
     "power_from_factorization",
     "triangular_factorization",
+    "eigen_factorization",
     "matrix_exponential",
     "apply_spectral_function",
 ]
@@ -33,6 +37,12 @@ __all__ = [
 # floating-point eigensolvers perturb the structural zero of a Laplacian and
 # z^alpha amplifies tiny positives badly ((1e-15)^0.25 ~ 5.6e-4).
 EIGENVALUE_CLAMP = 1e-10
+
+
+def _clamped(values: np.ndarray) -> np.ndarray:
+    values = values.copy()
+    values[np.abs(values) <= EIGENVALUE_CLAMP] = 0.0
+    return values
 
 
 @dataclass(frozen=True)
@@ -47,9 +57,7 @@ class SpectralDecomposition:
         return self.eigenvalues.shape[0]
 
     def clamped_eigenvalues(self) -> np.ndarray:
-        lam = self.eigenvalues.copy()
-        lam[np.abs(lam) <= EIGENVALUE_CLAMP] = 0.0
-        return lam
+        return _clamped(self.eigenvalues)
 
 
 @dataclass(frozen=True)
@@ -68,6 +76,30 @@ class TriangularFactorization:
     @property
     def n(self) -> int:
         return self.triangular.shape[0]
+
+    def clamped_eigenvalues(self) -> np.ndarray:
+        return _clamped(np.diag(self.triangular))
+
+
+@dataclass(frozen=True)
+class EigenFactorization:
+    """Eigenvector columns V and W = V^-1 with V diag(lambda) W equal to the input.
+
+    condition is the 2-norm condition number of V, which bounds how much
+    rounding in V diag(f(lambda)) W is amplified.
+    """
+
+    eigenvalues: np.ndarray
+    vectors: np.ndarray
+    inverse: np.ndarray
+    condition: float
+
+    @property
+    def n(self) -> int:
+        return self.eigenvalues.shape[0]
+
+    def clamped_eigenvalues(self) -> np.ndarray:
+        return _clamped(self.eigenvalues)
 
 
 def _require_square(m: np.ndarray) -> np.ndarray:
@@ -196,10 +228,31 @@ def _reorder_clusters(t: np.ndarray, q: np.ndarray, labels: np.ndarray):
     return t, q, tuple(starts)
 
 
-def _power_scalar(lam: complex, alpha: float) -> complex:
-    if abs(lam) <= EIGENVALUE_CLAMP:
-        return 0.0
-    return np.exp(alpha * np.log(lam))
+def eigen_factorization(fac: TriangularFactorization) -> EigenFactorization:
+    """Diagonalization read off a triangular factorization Q T Q*.
+
+    The eigenvectors Y of T come from LAPACK's triangular back substitution
+    (numpy.linalg.eig on T, which finds T already triangular), so V = Q Y is
+    what a full eigensolver returns after its own Schur step.  Raises
+    NumericError when V is singular, i.e. the input is not diagonalizable.
+    """
+    lam, y = np.linalg.eig(fac.triangular)
+    vectors = fac.unitary @ y
+    try:
+        inverse = np.linalg.inv(vectors)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError("eigenvector matrix is singular: the input is "
+                           "not diagonalizable") from exc
+    return EigenFactorization(eigenvalues=lam, vectors=vectors,
+                              inverse=inverse,
+                              condition=float(np.linalg.cond(vectors)))
+
+
+def _principal_power(lam, alpha: float):
+    """lam^alpha on the principal branch with 0^alpha := 0, elementwise."""
+    lam = np.asarray(lam, dtype=complex)
+    zero = np.abs(lam) <= EIGENVALUE_CLAMP
+    return np.where(zero, 0.0, np.exp(alpha * np.log(np.where(zero, 1.0, lam))))
 
 
 def _power_block(tb: np.ndarray, alpha: float) -> np.ndarray:
@@ -225,7 +278,7 @@ def _power_block(tb: np.ndarray, alpha: float) -> np.ndarray:
             "nontrivial Jordan structure")
     m = tb.shape[0]
     nil = tb - mu * np.eye(m)
-    coeff = _power_scalar(mu, alpha)
+    coeff = _principal_power(mu, alpha)
     total = coeff * np.eye(m, dtype=complex)
     term = np.eye(m, dtype=complex)
     for j in range(1, 2 * m + 60):
@@ -257,7 +310,7 @@ def _triangular_power(t: np.ndarray, starts: tuple[int, ...],
     for lo, hi in zip(starts[:-1], starts[1:]):
         t_jj = t[lo:hi, lo:hi]
         if hi - lo == 1:
-            f[lo, lo] = _power_scalar(t[lo, lo], alpha)
+            f[lo, lo] = _principal_power(t[lo, lo], alpha)
         else:
             f[lo:hi, lo:hi] = _power_block(t_jj, alpha)
         if lo == 0:
@@ -271,12 +324,27 @@ def _triangular_power(t: np.ndarray, starts: tuple[int, ...],
     return f
 
 
-def power_from_factorization(fac: TriangularFactorization,
+def power_from_factorization(fac: TriangularFactorization | EigenFactorization,
                              alpha: float) -> np.ndarray:
-    """Fractional power rebuilt from a precomputed triangular factorization."""
+    """Fractional power rebuilt from a precomputed factorization.
+
+    An EigenFactorization gives (V diag(lambda^alpha)) W, one product; a
+    TriangularFactorization gives Q f(T) Q* by the block-column recurrence.
+    Either way the result is real when its imaginary part is at most 1e-8
+    times its largest real entry (or 1e-8 when that is below one).
+    """
     alpha = _check_alpha(alpha)
-    ft = _triangular_power(fac.triangular, fac.starts, alpha)
-    out = fac.unitary @ ft @ fac.unitary.conj().T
+    if isinstance(fac, EigenFactorization):
+        out = (fac.vectors * _principal_power(fac.eigenvalues, alpha)) \
+            @ fac.inverse
+    else:
+        ft = _triangular_power(fac.triangular, fac.starts, alpha)
+        out = fac.unitary @ ft @ fac.unitary.conj().T
+    return _real_if_negligible(out)
+
+
+def _real_if_negligible(out: np.ndarray) -> np.ndarray:
+    """The real part of out if its imaginary part is rounding noise, else out."""
     scale = max(1.0, np.abs(out.real).max())
     if np.abs(out.imag).max() <= 1e-8 * scale:
         return out.real.copy()

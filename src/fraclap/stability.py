@@ -2,22 +2,23 @@
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dynamics import (
-    GeneralGenerator,
-    SpectralGenerator,
+    KPathGenerator,
     Trajectory,
     _exponent_integrals,
+    fractional_generator,
 )
 from .errors import NumericError
 from .graphs import Graph, connectivity, directed_laplacians
-from .integrators import StepStats, rk45_integrate
+# Not called here: kept as stability.rk45_integrate, the attribute that
+# benchmarks/test_bench_checks.py checks the tracer patches and restores.
+from .integrators import rk45_integrate  # noqa: F401
 from .matfun import SpectralDecomposition, fractional_power_sym
-from .schedules import AlphaSchedule, ClampCountingSchedule
+from .schedules import AlphaSchedule
 
 __all__ = [
     "DecayEnvelope",
@@ -93,48 +94,28 @@ def floquet_exponents(source, schedule: AlphaSchedule, period: float
                       ) -> np.ndarray:
     """Characteristic exponents of one period of the dynamics.
 
-    For a symmetric generator the monodromy diagonalizes in the shared
-    eigenbasis, so the exponents are -(1/T) * int_0^T lambda_i^{alpha} dtau,
-    all real, with the integrals from the batched Gauss-Kronrod quadrature
-    of exact_solution (tolerance 1e-10 per eigenvalue).  For a general
-    matrix the monodromy is integrated to tight tolerance and its
-    eigenvalue logarithms are divided by T.  Exponents are
-    sorted by decreasing real part (the conserved direction comes first).
+    All powers of one Laplacian commute, so the monodromy
+    exp(-int_0^T L^{alpha(tau)} dtau) has the eigenvalues
+    exp(-int_0^T lambda_i^{alpha(tau)} dtau), even for a Laplacian that is
+    not diagonalizable (Higham, Functions of Matrices, ch. 9).  The
+    exponents are -(1/T) int_0^T lambda_i^{alpha(tau)} dtau, with lambda_i
+    from eigh (symmetric source) or from the triangular factor of a general
+    one, and the integrals from the batched Gauss-Kronrod quadrature of
+    exact_solution (tolerance 1e-10 per eigenvalue and part).  Imaginary
+    parts are reduced to the principal branch (-pi/T, pi/T], so each
+    exponent equals log(multiplier) / T.  Exponents are sorted by
+    decreasing real part (the conserved direction comes first).
     """
     _check_periodic(schedule, period)
-    if isinstance(source, SpectralGenerator):
-        source = source.decomposition
-    if isinstance(source, SpectralDecomposition):
-        lam = source.clamped_eigenvalues()
-        integrals = _exponent_integrals(lam, schedule, [period])[0]
-        exponents = (-integrals / period).astype(complex)
-        return exponents[np.argsort(-exponents.real, kind="stable")]
-
-    m = np.asarray(source)
-    if isinstance(source, GeneralGenerator):
-        generator = source
-    else:
-        from .dynamics import fractional_generator
-
-        generator = fractional_generator(m)
-        if isinstance(generator, SpectralGenerator):
-            return floquet_exponents(generator.decomposition, schedule, period)
-    n = generator.n
-    matrix = functools.lru_cache(maxsize=1)(generator.matrix)
-    counting = ClampCountingSchedule(schedule)
-
-    def rhs(t, flat):
-        p = flat.reshape(n, n)
-        return -(p @ matrix(counting(t))).ravel()
-
-    stats = StepStats()
-    final = rk45_integrate(rhs, period, np.eye(n).ravel(), np.array([period]),
-                           rtol=1e-12, atol=1e-14, stats=stats)
-    monodromy = final[0].reshape(n, n)
-    multipliers = np.linalg.eigvals(monodromy)
-    if np.any(np.abs(multipliers) < 1e-300):
-        raise NumericError("zero monodromy eigenvalue; cannot take logarithms")
-    exponents = np.log(multipliers.astype(complex)) / period
+    generator = fractional_generator(source)
+    if isinstance(generator, KPathGenerator):
+        raise ValueError("Floquet exponents need a fractional Laplacian "
+                         "generator, not the hop-coupling one")
+    integrals = _exponent_integrals(generator.clamped_eigenvalues(), schedule,
+                                    [period])[0]
+    exponents = (-integrals / period).astype(complex)
+    if np.iscomplexobj(integrals):
+        exponents.imag = np.angle(np.exp(-1j * integrals.imag)) / period + 0.0
     return exponents[np.argsort(-exponents.real, kind="stable")]
 
 

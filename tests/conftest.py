@@ -38,6 +38,15 @@ def directed_ring_with_chords(n: int, chords=()) -> Graph:
     return Graph(n, tuple(edges), directed=True)
 
 
+def weak_ring(n: int, weight: float = 1e-10) -> Graph:
+    """Directed n-ring whose closing arc (n-1 -> 0) has a tiny weight.
+
+    Its Laplacian is nearly a Jordan block: kappa(V) is about 5.3e8 at n=8.
+    """
+    edges = [(i, i + 1, 1.0) for i in range(n - 1)] + [(n - 1, 0, weight)]
+    return Graph(n, tuple(edges), directed=True)
+
+
 def hub_ring_graph(n: int, hub_weight: float = 1.0) -> Graph:
     """Ring plus a hub node adjacent to everything: large spectral radius."""
     edges = {(i, (i + 1) % n): 1.0 for i in range(n)}

@@ -4,6 +4,12 @@ import numpy as np
 import pytest
 
 from conftest import DATA
+from fraclap import (
+    directed_laplacians,
+    fractional_power_general,
+    load_graph,
+    normalized_laplacians,
+)
 from fraclap.cli import main
 from fraclap.trajio import read_trajectory
 
@@ -148,6 +154,56 @@ def test_simulate_directed_out_laplacian(digraph_path, tmp_path):
     assert np.abs(table[:, 1:].sum(axis=1) - 1.0).max() <= 1e-5
 
 
+@pytest.mark.parametrize("model", ["heat", "schrodinger"])
+def test_simulate_directed_exact_matches_bdf(digraph_path, tmp_path, model):
+    tables = {}
+    for integrator in ("exact", "bdf"):
+        out = str(tmp_path / f"{integrator}.csv")
+        assert main(["simulate", "--graph", digraph_path, "--directed",
+                     "--laplacian", "out", "--model", model,
+                     "--alpha", "sin:0.5,0.4,12.566370614359172",
+                     "--integrator", integrator, "--rtol", "1e-10",
+                     "--atol", "1e-13", "--t-end", "1", "--samples", "40",
+                     "--seed", "2", "--out", out]) == 0
+        tables[integrator] = read_trajectory(out)[1]
+        stats = json.load(open(out + ".stats.json"))
+        assert stats["generator_route"] == "eigen"
+        assert 1.0 <= stats["eigvec_condition"] <= 1e4
+    assert np.abs(tables["exact"] - tables["bdf"]).max() <= 1e-8
+
+
+def test_simulate_sidecar_names_symmetric_route(c4_path, tmp_path):
+    out = str(tmp_path / "traj.csv")
+    assert main(["simulate", "--graph", c4_path, "--t-end", "1",
+                 "--out", out]) == 0
+    stats = json.load(open(out + ".stats.json"))
+    assert stats["generator_route"] == "symmetric"
+    assert stats["eigvec_condition"] is None
+
+
+def test_power_command_general_kinds_match_schur(digraph_path, tmp_path):
+    karate = load_graph(KARATE)
+    digraph = load_graph(digraph_path, directed=True)
+    cases = ((["--graph", KARATE, "--laplacian", "nrw"],
+              normalized_laplacians(karate)[0]),
+             (["--graph", digraph_path, "--directed", "--laplacian", "out"],
+              directed_laplacians(digraph)[0]))
+    for i, (argv, lap) in enumerate(cases):
+        out = str(tmp_path / f"P{i}.csv")
+        assert main(["power", *argv, "--alpha", "0.5", "--out", out]) == 0
+        reference = fractional_power_general(lap, 0.5)
+        assert np.abs(read_matrix(out) - reference).max() <= 1e-12
+
+
+def test_spectrum_command_nrw(tmp_path):
+    out = str(tmp_path / "S.csv")
+    assert main(["spectrum", "--graph", KARATE, "--laplacian", "nrw",
+                 "--out", out]) == 0
+    values = np.array([float(v) for v in open(out).read().split()])
+    rw = normalized_laplacians(load_graph(KARATE))[0]
+    assert np.abs(values - np.sort(np.linalg.eigvals(rw).real)).max() <= 1e-12
+
+
 def test_simulate_stats_expose_stiffness_gap(tmp_path):
     # hub-dominated graph: the explicit integrator needs far more steps
     from conftest import hub_ring_graph
@@ -237,8 +293,12 @@ def test_exit_code_config_errors(c4_path, digraph_path, tmp_path):
                  "--out", out]) == 2
     assert main(["simulate", "--out", out]) == 2
     assert main(["simulate", "--graph", c4_path]) == 2
-    # exact integrator with a non-symmetric kind
-    assert main(["simulate", "--graph", digraph_path, "--directed",
+    # exact integrator on a Schur-route generator: a directed 8-ring whose
+    # closing arc weighs 1e-10 has kappa(V) ~ 5e8
+    weak = tmp_path / "weak.edges"
+    weak.write_text("".join(f"{i} {i + 1}\n" for i in range(1, 8))
+                    + "8 1 1e-10\n")
+    assert main(["simulate", "--graph", str(weak), "--directed",
                  "--laplacian", "out", "--integrator", "exact",
                  "--out", out]) == 2
     # nothing was written by any of the rejected runs

@@ -1,7 +1,16 @@
+import logging
+
 import numpy as np
 import pytest
+import scipy.linalg
 
-from conftest import cycle_graph, ring_with_chords
+from conftest import (
+    DATA,
+    cycle_graph,
+    directed_ring_with_chords,
+    ring_with_chords,
+    weak_ring,
+)
 from fraclap import (
     ConstantSchedule,
     DynamicsProblem,
@@ -20,9 +29,11 @@ from fraclap import (
     directed_laplacians,
     exact_solution,
     fractional_generator,
+    fractional_power_general,
     fractional_power_sym,
     integrate_bdf,
     integrate_rk45,
+    load_graph,
     matrix_exponential,
     normalized_laplacians,
     random_initial_state,
@@ -340,12 +351,108 @@ def test_schrodinger_rk45_matches_unitary_flow(c4):
     assert np.abs(traj.states - reference.states).max() <= 1e-6
 
 
-def test_exact_rejects_general_generator(digraph5):
-    l_out, _ = directed_laplacians(digraph5)
+def test_exact_rejects_general_generator():
+    # A well-conditioned digraph takes the eigenvalue route, which has a
+    # closed form; the nearly defective weak ring stays on the Schur route.
+    l_out, _ = directed_laplacians(weak_ring(8))
     problem = DynamicsProblem("heat", GeneralGenerator.from_matrix(l_out),
-                              SINE, np.full(5, 0.2), 1.0)
+                              SINE, np.full(8, 0.125), 1.0)
     with pytest.raises(ValueError, match="symmetric"):
         exact_solution(problem)
+
+
+def _digraph30():
+    """A directed 30-ring with 30 random chords of weight 0.5-2 (kappa ~ 40)."""
+    rng = np.random.default_rng(3)
+    chords = {}
+    while len(chords) < 30:
+        u, v = (int(x) for x in rng.integers(0, 30, size=2))
+        if u != v and v != (u + 1) % 30:
+            chords[(u, v)] = float(rng.uniform(0.5, 2.0))
+    return directed_ring_with_chords(
+        30, [(u, v, w) for (u, v), w in chords.items()])
+
+
+def _eigen_route_laplacians():
+    return {"digraph": directed_laplacians(_digraph30())[0],
+            "karate_nrw": normalized_laplacians(load_graph(DATA / "karate.mtx"))[0]}
+
+
+@pytest.mark.parametrize("name", ["digraph", "karate_nrw"])
+@pytest.mark.parametrize("model", ["heat", "schrodinger"])
+def test_exact_eigen_route_matches_bdf(name, model):
+    lap = _eigen_route_laplacians()[name]
+    gen = GeneralGenerator.from_matrix(lap)
+    assert gen.route == "eigen"
+    p0 = random_initial_state(model, lap.shape[0], seed=5)
+    problem = DynamicsProblem(model, gen, SINE, p0, 1.0)
+    exact = exact_solution(problem, np.linspace(0.0, 1.0, 50))
+    bdf = integrate_bdf(problem, IntegratorConfig(method="bdf", rtol=1e-10,
+                                                  atol=1e-13, samples=50))
+    assert np.abs(exact.states - bdf.states).max() \
+        <= 1e-8 * np.abs(bdf.states).max()
+    if model == "heat":
+        assert not np.iscomplexobj(exact.states)
+        assert np.abs(exact.states.sum(axis=1) - 1.0).max() <= 1e-12
+        assert exact.states.min() >= -1e-12
+
+
+def test_exact_eigen_route_constant_alpha_matches_expm():
+    lap = _eigen_route_laplacians()["digraph"]
+    gen = GeneralGenerator.from_matrix(lap)
+    p0 = random_initial_state("heat", 30, seed=8)
+    problem = DynamicsProblem("heat", gen, ConstantSchedule(0.5), p0, 2.0)
+    traj = exact_solution(problem, np.array([0.0, 0.5, 2.0]))
+    power = gen.matrix(0.5)
+    for row, t in zip(traj.states, [0.0, 0.5, 2.0]):
+        assert np.abs(row - p0 @ matrix_exponential(-t * power)).max() <= 1e-12
+
+
+def test_schrodinger_exact_matches_rk45_karate(karate):
+    gen = SpectralGenerator.from_matrix(combinatorial_laplacian(karate))
+    psi0 = random_initial_state("schrodinger", 34, seed=6)
+    problem = DynamicsProblem("schrodinger", gen, SINE, psi0, 1.0)
+    exact = exact_solution(problem, np.linspace(0.0, 1.0, 21))
+    traj = integrate_rk45(problem, IntegratorConfig(rtol=1e-10, atol=1e-13,
+                                                    samples=21))
+    assert np.abs(exact.states - traj.states).max() <= 1e-8
+    # The two real products give the complex product's result.
+    lam, basis = gen.clamped_eigenvalues(), gen.basis
+    from fraclap.dynamics import _exponent_integrals
+
+    phase = np.exp(-1j * _exponent_integrals(lam, SINE, exact.times))
+    direct = ((psi0 @ basis) * phase) @ basis.astype(complex).T
+    assert np.abs(exact.states - direct).max() <= 1e-14
+
+
+def test_defective_matrix_takes_schur_route():
+    # A 30x30 Jordan block: the eigenvectors read off T are exactly
+    # dependent, so V has no inverse and only the recurrence applies.
+    m = np.eye(30) + np.diag(np.ones(29), 1)
+    gen = GeneralGenerator.from_matrix(m)
+    assert gen.route == "schur" and gen.eigvec_condition == np.inf
+    reference = scipy.linalg.fractional_matrix_power(m, 0.5)
+    assert np.abs(gen.matrix(0.5) - reference).max() <= 1e-12
+
+
+def test_generator_routes_and_condition(caplog):
+    with caplog.at_level(logging.DEBUG, logger="fraclap"):
+        eigen = GeneralGenerator.from_matrix(directed_laplacians(_digraph30())[0])
+        weak = directed_laplacians(weak_ring(8))[0]
+        schur = GeneralGenerator.from_matrix(weak)
+        symmetric = SpectralGenerator.from_matrix(
+            combinatorial_laplacian(cycle_graph(5)))
+    assert eigen.route == "eigen" and 1.0 <= eigen.eigvec_condition <= 1e3
+    assert schur.route == "schur" and schur.eigvec_condition > 1e8
+    assert (symmetric.route, symmetric.eigvec_condition) == ("symmetric", None)
+    built = [r.getMessage() for r in caplog.records
+             if r.levelno == logging.DEBUG]
+    assert len(built) == 3
+    assert "route=eigen" in built[0] and "route=schur" in built[1]
+    for alpha in (0.3, 0.5, 0.9):
+        power = schur.matrix(alpha)
+        assert np.abs(power.sum(axis=1)).max() <= 1e-12
+        assert np.abs(power - fractional_power_general(weak, alpha)).max() == 0
 
 
 def test_convergence_to_uniformity(c4, karate):

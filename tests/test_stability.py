@@ -18,6 +18,7 @@ from fraclap import (
     exact_solution,
     floquet_exponents,
     fractional_power_general,
+    matrix_exponential,
     random_initial_state,
     steady_state,
     sym_eig,
@@ -137,6 +138,20 @@ def test_floquet_directed_monodromy():
     # conservation direction: one exponent at zero, the rest decaying
     assert abs(exponents[0].real) <= 1e-8
     assert exponents[1:].real.max() < -1e-3
+
+
+def test_floquet_imaginary_parts_on_the_principal_branch():
+    # A heavy directed 3-cycle: lambda = 10 (1 - e^{2 pi i k / 3}) has
+    # |Im lambda| T = 4.33 > pi, so the exponents must wrap like log does.
+    g = Graph(3, ((0, 1, 10.0), (1, 2, 10.0), (2, 0, 10.0)), directed=True)
+    l_out, _ = directed_laplacians(g)
+    period = 0.5
+    exponents = floquet_exponents(l_out, ConstantSchedule(1.0), period)
+    monodromy = matrix_exponential(-period * l_out)
+    reference = np.log(np.linalg.eigvals(monodromy).astype(complex)) / period
+    assert np.all(np.abs(exponents.imag) <= np.pi / period)
+    assert np.abs(np.sort_complex(exponents) - np.sort_complex(reference)).max() \
+        <= 1e-12
 
 
 # ---------------------------------------------------------------------------
