@@ -11,10 +11,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import dynamics, graphs, matfun, stability, trajio
+from . import dynamics, graphs, stability, trajio
 from .errors import ConfigError, NumericError
 from .schedules import ConstantSchedule, parse_schedule, render_schedule
 
@@ -23,8 +24,35 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_IO = 4
 
-_UNDIRECTED_KINDS = {"comb", "nrw", "nsym", "kpath"}
-_DIRECTED_KINDS = {"out", "in"}
+
+class _Kind(NamedTuple):
+    """A --laplacian kind: the graph direction it needs, its Laplacian
+    builder (graph, --kpath-alpha) and its generator class."""
+
+    directed: bool
+    laplacian: Callable[[graphs.Graph, float | None], np.ndarray]
+    generator: type
+
+
+def _kpath_laplacian(g: graphs.Graph, kpath_alpha: float | None) -> np.ndarray:
+    if kpath_alpha is None:
+        raise ConfigError("--kpath-alpha is required for the kpath kind")
+    return graphs.transformed_k_path_laplacian(g, kpath_alpha)
+
+
+_KINDS = {
+    "comb": _Kind(False, lambda g, _: graphs.combinatorial_laplacian(g),
+                  dynamics.SpectralGenerator),
+    "nsym": _Kind(False, lambda g, _: graphs.normalized_laplacians(g)[1],
+                  dynamics.SpectralGenerator),
+    "nrw": _Kind(False, lambda g, _: graphs.normalized_laplacians(g)[0],
+                 dynamics.GeneralGenerator),
+    "out": _Kind(True, lambda g, _: graphs.directed_laplacians(g)[0],
+                 dynamics.GeneralGenerator),
+    "in": _Kind(True, lambda g, _: graphs.directed_laplacians(g)[1],
+                dynamics.GeneralGenerator),
+    "kpath": _Kind(False, _kpath_laplacian, dynamics.KPathGenerator),
+}
 
 _DEFAULTS = {
     "graph_format": None,
@@ -62,8 +90,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--largest-component", action="store_const", const=True,
                         dest="largest_component",
                         help="restrict to the largest (strongly) connected component")
-    common.add_argument("--laplacian",
-                        choices=sorted(_UNDIRECTED_KINDS | _DIRECTED_KINDS))
+    common.add_argument("--laplacian", choices=sorted(_KINDS))
     common.add_argument("--kpath-alpha", type=float, dest="kpath_alpha")
     common.add_argument("--out", help="output file path")
     common.add_argument("--out-format", choices=["csv", "json"],
@@ -129,29 +156,19 @@ def _load_graph(args) -> graphs.Graph:
     return g
 
 
-def _check_kind(g: graphs.Graph, kind: str) -> None:
-    if kind in _DIRECTED_KINDS and not g.directed:
-        raise ConfigError(f"laplacian kind {kind!r} needs a directed graph")
-    if kind in _UNDIRECTED_KINDS and g.directed:
-        raise ConfigError(f"laplacian kind {kind!r} needs an undirected graph")
+def _check_kind(g: graphs.Graph, name: str) -> _Kind:
+    """The table entry of a kind, once the graph's direction fits it."""
+    kind = _KINDS.get(name)
+    if kind is None:
+        raise ConfigError(f"unknown laplacian kind {name!r}")
+    if kind.directed != g.directed:
+        need = "a directed" if kind.directed else "an undirected"
+        raise ConfigError(f"laplacian kind {name!r} needs {need} graph")
+    return kind
 
 
 def _laplacian_matrix(g: graphs.Graph, args) -> np.ndarray:
-    kind = args.laplacian
-    _check_kind(g, kind)
-    if kind == "comb":
-        return graphs.combinatorial_laplacian(g)
-    if kind == "out":
-        return graphs.directed_laplacians(g)[0]
-    if kind == "in":
-        return graphs.directed_laplacians(g)[1]
-    if kind == "nrw":
-        return graphs.normalized_laplacians(g)[0]
-    if kind == "nsym":
-        return graphs.normalized_laplacians(g)[1]
-    if args.kpath_alpha is None:
-        raise ConfigError("--kpath-alpha is required for the kpath kind")
-    return graphs.transformed_k_path_laplacian(g, args.kpath_alpha)
+    return _check_kind(g, args.laplacian).laplacian(g, args.kpath_alpha)
 
 
 def _require_out(args) -> str:
@@ -171,30 +188,19 @@ def _constant_exponent(text: str) -> float:
             f"power needs a constant exponent, got schedule {text!r}")
 
 
-def _generator_for(g: graphs.Graph, kind: str):
-    _check_kind(g, kind)
-    if kind == "comb":
-        return dynamics.SpectralGenerator.from_matrix(
-            graphs.combinatorial_laplacian(g))
-    if kind == "nsym":
-        return dynamics.SpectralGenerator.from_matrix(
-            graphs.normalized_laplacians(g)[1])
-    if kind == "nrw":
-        return dynamics.GeneralGenerator.from_matrix(
-            graphs.normalized_laplacians(g)[0])
-    if kind == "out":
-        return dynamics.GeneralGenerator.from_matrix(
-            graphs.directed_laplacians(g)[0])
-    if kind == "in":
-        return dynamics.GeneralGenerator.from_matrix(
-            graphs.directed_laplacians(g)[1])
-    return dynamics.KPathGenerator.from_graph(g)
+def _generator_for(g: graphs.Graph, args):
+    """Fractional kinds build the generator from their Laplacian, kpath
+    from the graph's hop distances."""
+    kind = _check_kind(g, args.laplacian)
+    if kind.generator is dynamics.KPathGenerator:
+        return kind.generator.from_graph(g)
+    return kind.generator.from_matrix(kind.laplacian(g, args.kpath_alpha))
 
 
 def _build_problem(g: graphs.Graph, args):
     if args.t_end <= 0:
         raise ConfigError(f"--t-end must be positive, got {args.t_end}")
-    generator = _generator_for(g, args.laplacian)
+    generator = _generator_for(g, args)
     schedule = parse_schedule(args.alpha)
     state = dynamics.random_initial_state(args.model, g.n, int(args.seed))
     problem = dynamics.DynamicsProblem(
@@ -252,27 +258,19 @@ def cmd_laplacian(args) -> int:
 
 def cmd_power(args) -> int:
     g = _load_graph(args)
-    kind = args.laplacian
-    if kind == "kpath":
+    if args.laplacian == "kpath":
         raise ConfigError("power applies to fractional kinds; use the kpath command")
     alpha = _constant_exponent(args.alpha)
-    base = _laplacian_matrix(g, args)
-    if kind in ("comb", "nsym"):
-        powered = matfun.fractional_power_sym(matfun.sym_eig(base), alpha)
-    else:
-        powered = dynamics.GeneralGenerator.from_matrix(base).matrix(alpha)
-        if np.iscomplexobj(powered):
-            raise NumericError(
-                "fractional power has a non-negligible imaginary part")
+    powered = _generator_for(g, args).matrix(alpha)
+    if np.iscomplexobj(powered):
+        raise NumericError("fractional power has a non-negligible imaginary part")
     trajio.write_matrix(powered, _require_out(args), args.out_format)
     return EXIT_OK
 
 
 def cmd_kpath(args) -> int:
     g = _load_graph(args)
-    if args.kpath_alpha is None:
-        raise ConfigError("--kpath-alpha is required")
-    matrix = graphs.transformed_k_path_laplacian(g, args.kpath_alpha)
+    matrix = _kpath_laplacian(g, args.kpath_alpha)
     trajio.write_matrix(matrix, _require_out(args), args.out_format)
     return EXIT_OK
 
@@ -318,9 +316,9 @@ def cmd_decay(args) -> int:
         "satisfies_floor": None,
     }
     if args.laplacian == "comb":
-        lam2 = float(np.linalg.eigvalsh(graphs.combinatorial_laplacian(g))[1])
+        lam2 = float(problem.generator.decomposition.eigenvalues[1])
         grid = np.linspace(0.0, problem.horizon, 1001)
-        floor = min(lam2 ** problem.schedule(t) for t in grid)
+        floor = float((lam2 ** problem.schedule(grid)).min())
         report["rate_floor"] = floor
         report["satisfies_floor"] = bool(envelope.rate >= floor - 1e-6)
     if args.out:
@@ -336,27 +334,13 @@ def cmd_floquet(args) -> int:
     if args.period is None:
         raise ConfigError("--period is required")
     schedule = parse_schedule(args.alpha)
-    kind = args.laplacian
-    if kind == "kpath":
+    if args.laplacian == "kpath":
         raise ConfigError("floquet analysis needs a fractional Laplacian kind")
-    base = _laplacian_matrix(g, args)
-    if kind in ("comb", "nsym"):
-        source = matfun.sym_eig(base)
-    else:
-        source = dynamics.GeneralGenerator.from_matrix(base)
-    exponents = stability.floquet_exponents(source, schedule, float(args.period))
-    out = _require_out(args)
-    if args.out_format == "json":
-        payload = {"period": float(args.period),
-                   "exponents": [[float(e.real), float(e.imag)]
-                                 for e in exponents]}
-        trajio.write_json(payload, out)
-    else:
-        lines = ["re,im"] + [
-            f"{trajio.format_float(e.real)},{trajio.format_float(e.imag)}"
-            for e in exponents]
-        with open(out, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+    period = float(args.period)
+    exponents = stability.floquet_exponents(_generator_for(g, args), schedule,
+                                            period)
+    trajio.write_exponents(exponents, period, _require_out(args),
+                           args.out_format)
     return EXIT_OK
 
 

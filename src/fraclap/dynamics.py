@@ -33,6 +33,7 @@ from .matfun import (
     EigenFactorization,
     SpectralDecomposition,
     TriangularFactorization,
+    _principal_power,
     _real_if_negligible,
     eigen_factorization,
     fractional_power_sym,
@@ -59,7 +60,6 @@ __all__ = [
     "random_initial_state",
 ]
 
-_QUAD_TOL = 1e-10
 # Largest condition number of the eigenvector matrix for which a
 # non-symmetric generator takes the eigenvalue route; rounding in
 # V diag(lambda^alpha) V^-1 grows like eps * kappa(V).
@@ -258,8 +258,6 @@ class IntegratorConfig:
     method: str = "rk45"
     rtol: float = 1e-6
     atol: float = 1e-9
-    max_step: float | None = None
-    first_step: float | None = None
     samples: int = 200
 
     def __post_init__(self):
@@ -407,26 +405,7 @@ def _finish(problem, samples, states, stats, clamps):
 def integrate_rk45(problem: DynamicsProblem,
                    config: IntegratorConfig | None = None) -> Trajectory:
     """Explicit embedded 5(4) integration of the problem."""
-    config = config if config is not None else IntegratorConfig(method="rk45")
-    if config.method != "rk45":
-        raise ValueError(f"config.method is {config.method!r}, expected 'rk45'")
-    counting = ClampCountingSchedule(problem.schedule)
-    stats = StepStats()
-    system = _make_system(problem, counting, stats)
-    samples = _sample_grid(problem, config)
-    y0 = system.enter(problem.initial_state)
-    try:
-        coords = rk45_integrate(
-            system.rhs, problem.horizon, y0, samples,
-            rtol=config.rtol, atol=config.atol,
-            max_step=config.max_step if config.max_step else np.inf,
-            first_step=config.first_step, stats=stats)
-    except StiffnessError as exc:
-        partial_times, partial_coords, _ = exc.partial
-        partial = _finish(problem, partial_times, system.exit(partial_coords),
-                          stats, counting.clamps)
-        raise StiffnessError(str(exc), partial=partial) from None
-    return _finish(problem, samples, system.exit(coords), stats, counting.clamps)
+    return _integrate(problem, config, "rk45")
 
 
 def integrate_bdf(problem: DynamicsProblem,
@@ -436,23 +415,43 @@ def integrate_bdf(problem: DynamicsProblem,
     Each step solves one linear system; the factorization is reused while the
     step size, order, and alpha(t) stay unchanged to within 1e-12.
     """
-    config = config if config is not None else IntegratorConfig(method="bdf")
-    if config.method != "bdf":
-        raise ValueError(f"config.method is {config.method!r}, expected 'bdf'")
+    return _integrate(problem, config, "bdf")
+
+
+def _integrate(problem, config, method):
+    """Run the rk45 or bdf core on the problem's system.
+
+    A StiffnessError from the core is raised again with the partial
+    trajectory, mapped back to state space, attached.
+    """
+    config = config if config is not None else IntegratorConfig(method=method)
+    if config.method != method:
+        raise ValueError(
+            f"config.method is {config.method!r}, expected {method!r}")
     counting = ClampCountingSchedule(problem.schedule)
     stats = StepStats()
     system = _make_system(problem, counting, stats)
     samples = _sample_grid(problem, config)
     y0 = system.enter(problem.initial_state)
-    coords = bdf_integrate(
-        system.rhs, system.make_solver, problem.horizon, y0, samples,
-        rtol=config.rtol, atol=config.atol,
-        max_step=config.max_step if config.max_step else np.inf,
-        first_step=config.first_step, stats=stats)
+    try:
+        if method == "rk45":
+            coords = rk45_integrate(system.rhs, problem.horizon, y0, samples,
+                                    rtol=config.rtol, atol=config.atol,
+                                    stats=stats)
+        else:
+            coords = bdf_integrate(system.rhs, system.make_solver,
+                                   problem.horizon, y0, samples,
+                                   rtol=config.rtol, atol=config.atol,
+                                   stats=stats)
+    except StiffnessError as exc:
+        partial_times, partial_coords, _ = exc.partial
+        partial = _finish(problem, partial_times, system.exit(partial_coords),
+                          stats, counting.clamps)
+        raise StiffnessError(str(exc), partial=partial) from None
     return _finish(problem, samples, system.exit(coords), stats, counting.clamps)
 
 
-def _exponent_integrals(lam, schedule, times, tol=_QUAD_TOL, stats=None):
+def _exponent_integrals(lam, schedule, times, stats=None):
     """I_i(t) = int_0^t lam_i^{alpha(tau)} dtau at each time, one row per time.
 
     Complex eigenvalues (principal branch, 0^alpha := 0) are integrated as
@@ -461,12 +460,8 @@ def _exponent_integrals(lam, schedule, times, tol=_QUAD_TOL, stats=None):
     """
     times = np.asarray(times, dtype=float)
     if np.iscomplexobj(lam):
-        zero = lam == 0
-        log_lam = np.log(np.where(zero, 1.0, lam))
-
         def integrand(tau):
-            powered = np.where(zero, 0.0,
-                               np.exp(schedule(tau)[:, None] * log_lam))
+            powered = _principal_power(lam, schedule(tau)[:, None])
             return np.concatenate([powered.real, powered.imag], axis=1)
     else:
         def integrand(tau):
@@ -474,7 +469,7 @@ def _exponent_integrals(lam, schedule, times, tol=_QUAD_TOL, stats=None):
 
     try:
         integrals = adaptive_simpson(
-            integrand, 0.0, times, tol=tol,
+            integrand, 0.0, times,
             breakpoints=schedule.breakpoints(0.0, times[-1]), stats=stats)
     except QuadratureError as exc:
         bad = exc.component % lam.size if exc.component is not None else 0
@@ -516,8 +511,7 @@ def _real_product(x, m):
     return out
 
 
-def exact_solution(problem: DynamicsProblem, sample_times=None,
-                   quad_tol: float = _QUAD_TOL) -> Trajectory:
+def exact_solution(problem: DynamicsProblem, sample_times=None) -> Trajectory:
     """Closed-form solution p0 exp(-integral of L^{alpha(tau)} dtau).
 
     Valid because all powers of one diagonalizable Laplacian V diag(lambda) W
@@ -525,7 +519,7 @@ def exact_solution(problem: DynamicsProblem, sample_times=None,
     equation whose exponent integral I_i(t) = int_0^t lambda_i^{alpha(tau)}
     dtau comes from one batched adaptive Gauss-Kronrod (G7-K15) pass over
     all sample times and eigenvalues, with total error estimate below
-    quad_tol per eigenvalue (per real and imaginary part when lambda is
+    1e-10 per eigenvalue (per real and imaginary part when lambda is
     complex).  Every sample is then formed in one product
     ((p0 V) * exp(-I)) @ W (exp(-iI) for the Schrodinger model), where W is
     V^T for a symmetric generator and V^-1 for an eigenvalue-route
@@ -545,7 +539,7 @@ def exact_solution(problem: DynamicsProblem, sample_times=None,
         raise ValueError("sample times must lie within [0, horizon]")
 
     stats = StepStats()
-    integrals = _exponent_integrals(lam, counting, samples, quad_tol, stats)
+    integrals = _exponent_integrals(lam, counting, samples, stats)
     phase = -integrals if problem.model == "heat" else -1j * integrals
     coords0 = problem.initial_state @ vectors
     states = _real_product(coords0 * np.exp(phase), inverse)

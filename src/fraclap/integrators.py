@@ -85,8 +85,8 @@ def _require_finite(method, err_norm, y_new, t, h):
             "state or error estimate")
 
 
-def _default_first_step(t_end, max_step):
-    return min(1e-3, t_end / 100.0, max_step)
+def _default_first_step(t_end):
+    return min(1e-3, t_end / 100.0)
 
 
 def _check_samples(sample_times, t_end):
@@ -101,7 +101,7 @@ def _check_samples(sample_times, t_end):
 
 
 def rk45_integrate(rhs, t_end, y0, sample_times, *, rtol=1e-6, atol=1e-9,
-                   max_step=np.inf, first_step=None, stats=None):
+                   first_step=None, stats=None):
     """Dormand-Prince 5(4) with PI step control and max-norm error measure.
 
     Returns the (len(sample_times), n) array of interpolated states.  Raises
@@ -120,8 +120,8 @@ def rk45_integrate(rhs, t_end, y0, sample_times, *, rtol=1e-6, atol=1e-9,
 
     f = np.asarray(rhs(0.0, y))
     stats.rhs_evals += 1
-    h = first_step if first_step is not None else _default_first_step(t_end, max_step)
-    h = min(h, max_step, t_end)
+    h = first_step if first_step is not None else _default_first_step(t_end)
+    h = min(h, t_end)
     t = 0.0
     err_prev = None
     rejected_last = False
@@ -181,7 +181,7 @@ def rk45_integrate(rhs, t_end, y0, sample_times, *, rtol=1e-6, atol=1e-9,
         factor = min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
         if rejected_last:
             factor = min(1.0, factor)
-        h = min(h * factor, max_step)
+        h *= factor
         err_prev = max(en, 1e-10)
         rejected_last = False
 
@@ -213,7 +213,7 @@ def _rescale_differences(d, order, factor):
 
 
 def bdf_integrate(rhs, make_solver, t_end, y0, sample_times, *, rtol=1e-6,
-                  atol=1e-9, max_step=np.inf, first_step=None, stats=None):
+                  atol=1e-9, stats=None):
     """Variable-step, variable-order BDF for the linear system y' = rhs(t, y).
 
     make_solver(t, c) must return a callable solving (I - c J(t)) x = b where
@@ -233,8 +233,7 @@ def bdf_integrate(rhs, make_solver, t_end, y0, sample_times, *, rtol=1e-6,
 
     f0 = np.asarray(rhs(0.0, y))
     stats.rhs_evals += 1
-    h = first_step if first_step is not None else _default_first_step(t_end, max_step)
-    h = min(h, max_step, t_end)
+    h = _default_first_step(t_end)
     d = np.zeros((_MAX_ORDER + 3, n), dtype=np.result_type(y.dtype, f0.dtype))
     d[0] = y
     d[1] = h * f0
@@ -318,7 +317,6 @@ def bdf_integrate(rhs, make_solver, t_end, y0, sample_times, *, rtol=1e-6,
         best = int(np.argmax(factors))
         order += best - 1
         factor = min(_MAX_FACTOR, _SAFETY * factors[best])
-        factor = min(factor, max_step / h) if np.isfinite(max_step) else factor
         if factor <= 0 or not np.isfinite(factor):
             factor = 1.0
         _rescale_differences(d, order, factor)

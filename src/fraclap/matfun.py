@@ -37,6 +37,9 @@ __all__ = [
 # floating-point eigensolvers perturb the structural zero of a Laplacian and
 # z^alpha amplifies tiny positives badly ((1e-15)^0.25 ~ 5.6e-4).
 EIGENVALUE_CLAMP = 1e-10
+# Eigenvalues of a triangular factorization linked by steps of at most this
+# distance share one diagonal block of the Schur-Parlett recurrence.
+BLOCKING_DELTA = 0.1
 
 
 def _clamped(values: np.ndarray) -> np.ndarray:
@@ -65,7 +68,7 @@ class TriangularFactorization:
     """Unitary Q and upper-triangular T with Q T Q* equal to the input.
 
     The diagonal of T is ordered so that each cluster of eigenvalues closer
-    than the blocking radius is contiguous; block i spans rows and columns
+    than BLOCKING_DELTA is contiguous; block i spans rows and columns
     starts[i]:starts[i + 1].
     """
 
@@ -175,30 +178,29 @@ def apply_spectral_function(d: SpectralDecomposition,
 # General (non-symmetric) fractional powers via triangular recurrence
 # ---------------------------------------------------------------------------
 
-def triangular_factorization(m: np.ndarray, blocking_delta: float = 0.1
-                             ) -> TriangularFactorization:
+def triangular_factorization(m: np.ndarray) -> TriangularFactorization:
     """Complex unitary triangular (Schur-type) factorization of a matrix.
 
-    The diagonal is clustered with radius blocking_delta and reordered so
+    The diagonal is clustered with radius BLOCKING_DELTA and reordered so
     that every cluster is contiguous; both steps are independent of the
     exponent, so powers of one factorization share them.
     """
     m = _require_square(m)
     t, q = scipy.linalg.schur(m.astype(complex), output="complex")
-    labels = _cluster_eigenvalues(np.diag(t), blocking_delta)
+    labels = _cluster_eigenvalues(np.diag(t))
     t, q, starts = _reorder_clusters(t, q, labels)
     return TriangularFactorization(unitary=q, triangular=t, starts=starts)
 
 
-def _cluster_eigenvalues(diag: np.ndarray, delta: float) -> np.ndarray:
-    """Labels of the classes of eigenvalues linked by steps of at most delta.
+def _cluster_eigenvalues(diag: np.ndarray) -> np.ndarray:
+    """Labels of the eigenvalue classes linked by steps of at most BLOCKING_DELTA.
 
     A zero eigenvalue never joins a nonzero one: z^alpha has no Taylor
     expansion about a point near 0, while the Sylvester recurrence between a
     zero block and a nonzero one only divides by their distinct eigenvalues.
     """
     zero = np.abs(diag) <= EIGENVALUE_CLAMP
-    linked = (np.abs(diag[:, None] - diag[None, :]) <= delta) \
+    linked = (np.abs(diag[:, None] - diag[None, :]) <= BLOCKING_DELTA) \
         & (zero[:, None] == zero[None, :])
     _, labels = scipy.sparse.csgraph.connected_components(linked,
                                                           directed=False)
@@ -248,8 +250,11 @@ def eigen_factorization(fac: TriangularFactorization) -> EigenFactorization:
                               condition=float(np.linalg.cond(vectors)))
 
 
-def _principal_power(lam, alpha: float):
-    """lam^alpha on the principal branch with 0^alpha := 0, elementwise."""
+def _principal_power(lam, alpha):
+    """lam^alpha on the principal branch with 0^alpha := 0, elementwise.
+
+    alpha is a float or an array that broadcasts against lam.
+    """
     lam = np.asarray(lam, dtype=complex)
     zero = np.abs(lam) <= EIGENVALUE_CLAMP
     return np.where(zero, 0.0, np.exp(alpha * np.log(np.where(zero, 1.0, lam))))
@@ -260,7 +265,7 @@ def _power_block(tb: np.ndarray, alpha: float) -> np.ndarray:
 
     A Taylor expansion about the mean eigenvalue serves a cluster whose
     radius is small relative to its distance from the origin.  A cluster is
-    a chain of eigenvalues less than the blocking radius apart, so near the
+    a chain of eigenvalues less than BLOCKING_DELTA apart, so near the
     origin it can be too wide for the series to converge; such a block goes
     to scipy's Schur-Pade fractional power (Higham & Lin, SIMAX 2011), which
     needs only a nonsingular block but costs several times more.
@@ -351,8 +356,7 @@ def _real_if_negligible(out: np.ndarray) -> np.ndarray:
     return out
 
 
-def fractional_power_general(m: np.ndarray, alpha: float,
-                             blocking_delta: float = 0.1) -> np.ndarray:
+def fractional_power_general(m: np.ndarray, alpha: float) -> np.ndarray:
     """Fractional power of a general (directed-graph) Laplacian.
 
     The eigenvalues must lie in the closed right half-plane with a semisimple
@@ -360,8 +364,7 @@ def fractional_power_general(m: np.ndarray, alpha: float,
     graph.  Returns a real array when the imaginary residue is negligible,
     otherwise the complex result.
     """
-    return power_from_factorization(
-        triangular_factorization(m, blocking_delta), alpha)
+    return power_from_factorization(triangular_factorization(m), alpha)
 
 
 # ---------------------------------------------------------------------------

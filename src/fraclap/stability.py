@@ -128,20 +128,19 @@ class DecayEnvelope:
     residual: float
 
 
-def decay_envelope(traj: Trajectory, reference: np.ndarray,
-                   transient_fraction: float = 0.25) -> DecayEnvelope:
+def decay_envelope(traj: Trajectory, reference: np.ndarray) -> DecayEnvelope:
     """Fit the decay of a heat trajectory toward its steady state.
 
     The deviation e(t) = ||p(t) - reference||_2 lives on the complement of
     the conserved direction, so a clean exponential envelope exists there.
-    log e(t) is fitted on the samples past the transient window; at least 10
-    usable samples are required.
+    log e(t) is fitted on the samples past the transient window, the first
+    quarter of the time span; at least 10 usable samples are required.
     """
     if np.iscomplexobj(traj.states) and np.abs(traj.states.imag).max() > 0:
         raise ValueError("decay envelopes apply to the heat model (real states)")
     deviations = np.linalg.norm(traj.states.real - np.asarray(reference), axis=1)
     times = traj.times
-    cutoff = times[0] + transient_fraction * (times[-1] - times[0])
+    cutoff = times[0] + 0.25 * (times[-1] - times[0])
     floor = max(deviations.max() * 1e-12, 1e-300)
     usable = (times >= cutoff) & (deviations > floor)
     if int(usable.sum()) < 10:

@@ -24,6 +24,7 @@ __all__ = [
     "read_trajectory",
     "write_matrix",
     "write_spectrum",
+    "write_exponents",
     "write_json",
     "trajectory_table",
 ]
@@ -132,6 +133,21 @@ def write_spectrum(values: np.ndarray, path, fmt: str = "csv") -> None:
     elif fmt == "json":
         payload = {"eigenvalues": [float(v) for v in values]}
         _write_atomic(path, [json.dumps(payload), "\n"])
+    else:
+        raise ValueError(f"unknown output format {fmt!r}")
+
+
+def write_exponents(exponents: np.ndarray, period: float, path,
+                    fmt: str = "csv") -> None:
+    """Complex Floquet exponents: CSV rows re,im, or JSON with the period."""
+    if fmt == "csv":
+        _write_atomic(path, itertools.chain(["re,im\n"], (
+            f"{format_float(e.real)},{format_float(e.imag)}\n"
+            for e in exponents)))
+    elif fmt == "json":
+        write_json({"period": float(period),
+                    "exponents": [[float(e.real), float(e.imag)]
+                                  for e in exponents]}, path)
     else:
         raise ValueError(f"unknown output format {fmt!r}")
 

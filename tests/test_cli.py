@@ -5,10 +5,15 @@ import pytest
 
 from conftest import DATA
 from fraclap import (
+    GeneralGenerator,
+    KPathGenerator,
+    SpectralGenerator,
+    combinatorial_laplacian,
     directed_laplacians,
     fractional_power_general,
     load_graph,
     normalized_laplacians,
+    transformed_k_path_laplacian,
 )
 from fraclap.cli import main
 from fraclap.trajio import read_trajectory
@@ -195,6 +200,84 @@ def test_power_command_general_kinds_match_schur(digraph_path, tmp_path):
         assert np.abs(read_matrix(out) - reference).max() <= 1e-12
 
 
+# kind -> (needs a directed graph, library Laplacian, generator class)
+KINDS = {
+    "comb": (False, combinatorial_laplacian, SpectralGenerator),
+    "nsym": (False, lambda g: normalized_laplacians(g)[1], SpectralGenerator),
+    "nrw": (False, lambda g: normalized_laplacians(g)[0], GeneralGenerator),
+    "out": (True, lambda g: directed_laplacians(g)[0], GeneralGenerator),
+    "in": (True, lambda g: directed_laplacians(g)[1], GeneralGenerator),
+    "kpath": (False, lambda g: transformed_k_path_laplacian(g, 1.5),
+              KPathGenerator),
+}
+ROUTES = {SpectralGenerator: "symmetric", GeneralGenerator: "eigen",
+          KPathGenerator: "kpath"}
+
+
+@pytest.fixture
+def kind_graph(tmp_path):
+    """directed -> (CLI graph arguments, loaded graph); a weighted 4-cycle
+    with one chord, so that nrw and nsym differ."""
+    path = tmp_path / "chorded.edges"
+    path.write_text("1 2\n2 3\n3 4\n4 1\n1 3 0.5\n")
+    return {
+        directed: (["--graph", str(path), "--kpath-alpha", "1.5"]
+                   + (["--directed"] if directed else []),
+                   load_graph(str(path), directed=directed))
+        for directed in (False, True)}
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_laplacian_command_writes_library_matrix(kind, kind_graph, tmp_path):
+    directed, laplacian, _ = KINDS[kind]
+    argv, g = kind_graph[directed]
+    out = str(tmp_path / "L.csv")
+    assert main(["laplacian", *argv, "--laplacian", kind, "--out", out]) == 0
+    assert np.array_equal(read_matrix(out), laplacian(g))
+
+
+@pytest.mark.parametrize("kind", sorted(set(KINDS) - {"kpath"}))
+def test_power_command_uses_kind_generator(kind, kind_graph, tmp_path):
+    directed, laplacian, generator = KINDS[kind]
+    argv, g = kind_graph[directed]
+    out = str(tmp_path / "P.csv")
+    assert main(["power", *argv, "--laplacian", kind, "--alpha", "0.5",
+                 "--out", out]) == 0
+    expected = generator.from_matrix(laplacian(g)).matrix(0.5)
+    assert np.array_equal(read_matrix(out), expected)
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_simulate_builds_kind_generator(kind, kind_graph, tmp_path):
+    directed, _, generator = KINDS[kind]
+    argv, _ = kind_graph[directed]
+    out = str(tmp_path / "traj.csv")
+    assert main(["simulate", *argv, "--laplacian", kind, "--t-end", "1",
+                 "--samples", "5", "--out", out]) == 0
+    stats = json.load(open(out + ".stats.json"))
+    assert stats["generator_route"] == ROUTES[generator]
+
+
+@pytest.mark.parametrize("command", ["laplacian", "power", "simulate"])
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_kind_on_graph_of_wrong_direction_exits_two(kind, command, kind_graph,
+                                                    tmp_path):
+    argv, _ = kind_graph[not KINDS[kind][0]]
+    out = tmp_path / "x.csv"
+    assert main([command, *argv, "--laplacian", kind,
+                 "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_unknown_kind_from_config_exits_two(c4_path, tmp_path):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"laplacian": "kpth", "kpath_alpha": 1.0}))
+    out = tmp_path / "x.csv"
+    assert main(["simulate", "--config", str(config), "--graph", c4_path,
+                 "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_spectrum_command_nrw(tmp_path):
     out = str(tmp_path / "S.csv")
     assert main(["spectrum", "--graph", KARATE, "--laplacian", "nrw",
@@ -246,6 +329,19 @@ def test_floquet_command(c4_path, tmp_path):
     assert values.shape == (4, 2)
     assert abs(values[0, 0]) <= 1e-12 and values[1, 0] < 0
     assert np.abs(values[:, 1]).max() == 0.0
+
+
+def test_floquet_command_json_reads_back(c4_path, tmp_path):
+    csv_out, json_out = str(tmp_path / "floq.csv"), str(tmp_path / "floq.json")
+    argv = ["floquet", "--graph", c4_path, "--alpha",
+            "sin:0.5,0.4,12.566370614359172", "--period", "0.5"]
+    assert main(argv + ["--out", csv_out]) == 0
+    assert main(argv + ["--out", json_out, "--out-format", "json"]) == 0
+    payload = json.load(open(json_out))
+    assert payload["period"] == 0.5
+    rows = open(csv_out).read().strip().split("\n")[1:]
+    assert payload["exponents"] == [[float(v) for v in ln.split(",")]
+                                    for ln in rows]
 
 
 def test_config_file_with_flag_override(c4_path, tmp_path):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from fraclap import Graph, directed_laplacians, normalized_laplacians
 from fraclap.matfun import (
+    BLOCKING_DELTA,
     EIGENVALUE_CLAMP,
     power_from_factorization,
     triangular_factorization,
@@ -94,10 +95,10 @@ def test_powers_add_exponents(lap, pair):
 
 
 @PROPERTY
-@given(laplacians, st.sampled_from((0.05, 0.1, 0.3)))
-def test_reordered_factorization_is_unitary_and_triangular(lap, delta):
+@given(laplacians)
+def test_reordered_factorization_is_unitary_and_triangular(lap):
     n = lap.shape[0]
-    fac = triangular_factorization(lap, delta)
+    fac = triangular_factorization(lap)
     q, t = fac.unitary, fac.triangular
     assert np.all(np.tril(t, -1) == 0)
     assert np.abs(q.conj().T @ q - np.eye(n)).max() <= 100 * EPS * n
@@ -106,10 +107,10 @@ def test_reordered_factorization_is_unitary_and_triangular(lap, delta):
 
 
 @PROPERTY
-@given(laplacians, st.sampled_from((0.05, 0.1, 0.3)))
-def test_blocks_are_separated_clusters(lap, delta):
+@given(laplacians)
+def test_blocks_are_separated_clusters(lap):
     n = lap.shape[0]
-    fac = triangular_factorization(lap, delta)
+    fac = triangular_factorization(lap)
     starts = np.array(fac.starts)
     assert starts[0] == 0 and starts[-1] == n and np.all(np.diff(starts) > 0)
     diag = np.diag(fac.triangular)
@@ -118,4 +119,4 @@ def test_blocks_are_separated_clusters(lap, delta):
     for lo, hi in zip(starts[:-1], starts[1:]):
         assert zero[lo:hi].all() or not zero[lo:hi].any()
     apart = (block[:, None] != block[None, :]) & (zero[:, None] == zero[None, :])
-    assert np.all(np.abs(diag[:, None] - diag[None, :])[apart] > delta)
+    assert np.all(np.abs(diag[:, None] - diag[None, :])[apart] > BLOCKING_DELTA)

@@ -18,6 +18,7 @@ from fraclap.trajio import (
     format_float,
     read_trajectory,
     trajectory_table,
+    write_exponents,
     write_json,
     write_matrix,
     write_spectrum,
@@ -132,6 +133,26 @@ def test_failed_write_keeps_previous_file(c4, tmp_path, monkeypatch):
         write_matrix(np.eye(3), path)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["traj.csv"]
+
+
+def test_failed_exponents_write_keeps_previous_file(tmp_path, monkeypatch):
+    path = tmp_path / "floq.csv"
+    write_exponents(np.array([0.0, -1.5 + 0.25j]), 2.0, path)
+    before = path.read_bytes()
+    assert before == b"re,im\n0.0,0.0\n-1.5,0.25\n"
+    calls = []
+
+    def failing_format(x):
+        calls.append(x)
+        if len(calls) > 2:  # the header and one row are written first
+            raise OSError("no space left on device")
+        return format_float(x)
+
+    monkeypatch.setattr(trajio, "format_float", failing_format)
+    with pytest.raises(OSError, match="no space"):
+        write_exponents(np.array([0.0, -2.0, -3.0]), 2.0, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["floq.csv"]
 
 
 def test_writers_replace_files_whole(tmp_path):
