@@ -225,6 +225,7 @@ def _sidecar(traj, args, g, problem) -> dict:
         "rhs_evaluations": traj.stats.rhs_evals,
         "linear_solves": traj.stats.linear_solves,
         "factorizations": traj.stats.factorizations,
+        "iteration_restarts": traj.stats.iteration_restarts,
         "clamp_count": traj.stats.clamp_count,
         "quadrature_panels": traj.stats.quadrature_panels,
         "generator_route": problem.generator.route,
@@ -238,6 +239,10 @@ def _sidecar(traj, args, g, problem) -> dict:
     }
     key = "mass_max_error" if args.model == "heat" else "norm_max_error"
     payload[key] = _conservation_error(traj, args.model)
+    if args.model == "heat":
+        payload["min_heat_entry"] = float(traj.states.real.min())
+        payload["entries_below_atol"] = int(
+            (traj.states.real < -float(args.atol)).sum())
     payload["empirical_decay_rate"] = None
     if args.model == "heat" and args.laplacian in ("comb", "kpath") \
             and not g.directed:

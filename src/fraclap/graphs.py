@@ -374,16 +374,19 @@ def _k_path_distances(g: Graph, distances: DistanceMatrix | None = None
     return distances
 
 
-def _hop_coupling(hops: np.ndarray, alpha: float) -> np.ndarray:
-    """L_1 + sum_k k^{-alpha} L_k built in one pass from the hop matrix.
+def _hop_coupling(hops: np.ndarray, diameter: int, alpha: float) -> np.ndarray:
+    """L_1 + sum_k k^{-alpha} L_k, gathered from a diameter + 1 weight table.
 
-    Pairs at hop distance d > 0 couple with weight -d^{-alpha}; the diagonal
-    is minus the row sum, so each row sums to zero.
+    hops is the integer (np.intp) hop matrix of a connected graph.  Pairs at
+    hop distance d > 0 couple with weight -d^{-alpha}, looked up in
+    [0, -1^{-alpha}, ..., -diameter^{-alpha}]; the diagonal is minus the row
+    sum, so each row sums to zero.
     """
     if alpha < 0:
         raise ValueError("alpha must be >= 0 for the hop-coupling operator")
-    coupling = -np.power(hops, -float(alpha), out=np.zeros_like(hops),
-                         where=hops > 0)
+    d = np.arange(diameter + 1, dtype=float)
+    weights = -np.power(d, -float(alpha), out=np.zeros_like(d), where=d > 0)
+    coupling = weights[hops]
     np.fill_diagonal(coupling, -coupling.sum(axis=1))
     return coupling
 
@@ -406,4 +409,6 @@ def k_path_laplacian(g: Graph, k: int, distances: DistanceMatrix | None = None
 
 def transformed_k_path_laplacian(g: Graph, alpha: float) -> np.ndarray:
     """Mellin-weighted sum L_1 + sum_{k>=2} k^{-alpha} L_k up to the diameter."""
-    return _hop_coupling(_k_path_distances(g).hops, alpha)
+    distances = _k_path_distances(g)
+    return _hop_coupling(distances.hops.astype(np.intp), distances.diameter,
+                         alpha)

@@ -2,19 +2,23 @@
 
 Both cores are dimension-agnostic over 1-D state arrays (real or complex) and
 emit states at caller-supplied sample times through their native dense-output
-interpolants.  The BDF core exploits linearity: the implicit equation is
-solved with a single direct linear solve per attempted step, no Newton loop.
+interpolants.  The BDF core exploits linearity: with a solver factorized for
+the step's own (t, c) the implicit equation is one direct linear solve.  With
+a stale solver, factorized for an earlier (c, alpha), it runs at most four
+simplified Newton iterations and falls back to a fresh factorization when
+they converge too slowly (Shampine & Reichelt, "The MATLAB ODE Suite", 1997).
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConvergenceError, NumericError, StiffnessError
 
-__all__ = ["StepStats", "rk45_integrate", "bdf_integrate"]
+__all__ = ["StepStats", "StaleSolver", "rk45_integrate", "bdf_integrate"]
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -53,10 +57,13 @@ _DP_P = np.array([
 class StepStats:
     """Counters of one integration.
 
-    The cores count steps, right-hand sides and solves; the solver provider
-    counts factorizations and the dynamics layer records schedule clamps.
-    The closed-form solver counts the exponent-quadrature panels it
-    evaluated, refinements included.
+    The cores count steps, right-hand sides and solves; rhs_evals and
+    linear_solves include those of the simplified Newton iterations a stale
+    BDF solver runs.  iteration_restarts counts the BDF steps whose stale
+    iteration failed its rate test and were solved again with a fresh
+    factorization.  The solver provider counts factorizations and the
+    dynamics layer records schedule clamps.  The closed-form solver counts
+    the exponent-quadrature panels it evaluated, refinements included.
     """
 
     accepted: int = 0
@@ -64,8 +71,22 @@ class StepStats:
     rhs_evals: int = 0
     linear_solves: int = 0
     factorizations: int = 0
+    iteration_restarts: int = 0
     clamp_count: int = 0
     quadrature_panels: int = 0
+
+
+@dataclass(frozen=True)
+class StaleSolver:
+    """A BDF solver factorized for an earlier (c, alpha) than the step's.
+
+    solve applies the stale factorization of I - c0 J0; refresh() factorizes
+    for the step's own (t, c) and returns that exact solver.  A bare callable
+    returned by make_solver is exact for the (t, c) it was asked for.
+    """
+
+    solve: Callable[[np.ndarray], np.ndarray]
+    refresh: Callable[[], Callable[[np.ndarray], np.ndarray]]
 
 
 def _error_norm(err, y_ref, rtol, atol):
@@ -195,6 +216,39 @@ def rk45_integrate(rhs, t_end, y0, sample_times, *, rtol=1e-6, atol=1e-9,
 _MAX_ORDER = 5
 _GAMMA = np.hstack(([0.0], np.cumsum(1.0 / np.arange(1, _MAX_ORDER + 1))))
 _ERROR_CONST = 1.0 / np.arange(1, _MAX_ORDER + 3)
+# Simplified Newton with a stale solver, as scipy's solve_bdf_system: at most
+# this many iterations, converged when the predicted remaining correction is
+# below max(10 eps / rtol, min(0.03, sqrt(rtol))) in the step's error norm.
+_NEWTON_MAXITER = 4
+
+
+def _simplified_newton(rhs, t, y_predict, f, c, psi, solve, scale, tol, stats):
+    """Correction of a BDF step iterated with a stale solve, or None.
+
+    Solves corr = c rhs(t, y_predict + corr) - psi; f is rhs(t, y_predict).
+    None means the contraction rate test failed: the iteration diverges or
+    would not reach tol within _NEWTON_MAXITER iterations.
+    """
+    corr = np.zeros_like(psi)
+    dy_norm_old = None
+    for k in range(_NEWTON_MAXITER):
+        if k:
+            f = np.asarray(rhs(t, y_predict + corr))
+            stats.rhs_evals += 1
+        dy = solve(c * f - psi - corr)
+        stats.linear_solves += 1
+        dy_norm = float(np.max(np.abs(dy) / scale))
+        rate = None if dy_norm_old is None else dy_norm / dy_norm_old
+        if rate is not None and (
+                rate >= 1
+                or rate ** (_NEWTON_MAXITER - k) / (1 - rate) * dy_norm > tol):
+            return None
+        corr = corr + dy
+        if dy_norm == 0 or (rate is not None
+                            and rate / (1 - rate) * dy_norm < tol):
+            return corr
+        dy_norm_old = dy_norm
+    return None
 
 
 def _change_ratio(order, factor):
@@ -216,10 +270,16 @@ def bdf_integrate(rhs, make_solver, t_end, y0, sample_times, *, rtol=1e-6,
                   atol=1e-9, stats=None):
     """Variable-step, variable-order BDF for the linear system y' = rhs(t, y).
 
-    make_solver(t, c) must return a callable solving (I - c J(t)) x = b where
-    J(t) is the Jacobian of the rhs; because the problem is linear one such
-    solve advances the step exactly (no Newton iteration).  Factorization
-    reuse and counting are the solver provider's job; solves are counted here.
+    make_solver(t, c) returns either a callable solving (I - c J(t)) x = b,
+    where J(t) is the Jacobian of the rhs, or a StaleSolver factorized for an
+    earlier (c, alpha).  Because the problem is linear one exact solve
+    advances the step.  A stale solver is iterated with instead (simplified
+    Newton, at most four iterations, scipy's rate test with tolerance
+    max(10 eps / rtol, min(0.03, sqrt(rtol))) in the step's error norm);
+    when the rate test fails the step calls refresh() and takes the exact
+    solve, counted in stats.iteration_restarts.  When to factorize
+    afresh and counting factorizations are the solver provider's job;
+    solves and right-hand sides, iterations included, are counted here.
     """
     stats = stats if stats is not None else StepStats()
     samples = _check_samples(sample_times, t_end)
@@ -240,6 +300,7 @@ def bdf_integrate(rhs, make_solver, t_end, y0, sample_times, *, rtol=1e-6,
     order = 1
     n_equal = 0
     t = 0.0
+    newton_tol = max(10 * np.finfo(float).eps / rtol, min(0.03, rtol ** 0.5))
 
     while t < t_end:
         # Unlike the explicit core, arbitrarily small steps are legitimate
@@ -259,11 +320,20 @@ def bdf_integrate(rhs, make_solver, t_end, y0, sample_times, *, rtol=1e-6,
         y_predict = d[:order + 1].sum(axis=0)
         psi = (_GAMMA[1:order + 1] @ d[1:order + 1]) / _GAMMA[order]
         c = h / _GAMMA[order]
-        solve = make_solver(t_new, c)
+        solver = make_solver(t_new, c)
         fp = np.asarray(rhs(t_new, y_predict))
         stats.rhs_evals += 1
-        corr = solve(c * fp - psi)
-        stats.linear_solves += 1
+        corr = None
+        if isinstance(solver, StaleSolver):
+            corr = _simplified_newton(
+                rhs, t_new, y_predict, fp, c, psi, solver.solve,
+                atol + rtol * np.abs(y_predict), newton_tol, stats)
+            if corr is None:
+                stats.iteration_restarts += 1
+                solver = solver.refresh()
+        if corr is None:
+            corr = solver(c * fp - psi)
+            stats.linear_solves += 1
         y_new = y_predict + corr
 
         scale = atol + rtol * np.abs(y_new)

@@ -1,10 +1,12 @@
+import argparse
 import json
 
 import numpy as np
 import pytest
 
-from conftest import DATA
+from conftest import DATA, ring_with_chords
 from fraclap import (
+    DynamicsProblem,
     GeneralGenerator,
     KPathGenerator,
     SpectralGenerator,
@@ -13,9 +15,12 @@ from fraclap import (
     fractional_power_general,
     load_graph,
     normalized_laplacians,
+    parse_schedule,
     transformed_k_path_laplacian,
 )
-from fraclap.cli import main
+from fraclap.cli import _sidecar, main
+from fraclap.dynamics import Trajectory
+from fraclap.integrators import StepStats
 from fraclap.trajio import read_trajectory
 
 KARATE = str(DATA / "karate.mtx")
@@ -146,6 +151,7 @@ def test_simulate_schrodinger_json(c4_path, tmp_path):
     assert np.abs(prob.sum(axis=1) - 1.0).max() <= 1e-6
     stats = json.load(open(out + ".stats.json"))
     assert stats["norm_max_error"] <= 1e-4
+    assert "min_heat_entry" not in stats
 
 
 def test_simulate_directed_out_laplacian(digraph_path, tmp_path):
@@ -177,6 +183,41 @@ def test_simulate_directed_exact_matches_bdf(digraph_path, tmp_path, model):
     assert np.abs(tables["exact"] - tables["bdf"]).max() <= 1e-8
 
 
+def test_simulate_kpath_saw_bdf_records_positivity(tmp_path):
+    # n = 120 hands stale factorizations to bdf; the jump at t = 0.5 makes
+    # at least one step re-solve with a fresh one.
+    path = tmp_path / "ring.edges"
+    path.write_text("".join(f"{u + 1} {v + 1}\n" for u, v, _ in
+                            ring_with_chords(120, 12, seed=4).edges))
+    out = str(tmp_path / "traj.csv")
+    assert main(["simulate", "--graph", str(path), "--laplacian", "kpath",
+                 "--alpha", "saw:0.2,0.9,0.5", "--integrator", "bdf",
+                 "--t-end", "1", "--seed", "5", "--out", out]) == 0
+    states = read_trajectory(out)[1][:, 1:]
+    stats = json.load(open(out + ".stats.json"))
+    assert stats["min_heat_entry"] == states.min() >= -10 * 1e-9
+    assert stats["entries_below_atol"] == np.count_nonzero(states < -1e-9)
+    assert stats["iteration_restarts"] >= 1
+    assert stats["factorizations"] < stats["linear_solves"]
+    assert stats["mass_max_error"] <= 1e-12
+
+
+def test_sidecar_counts_heat_entries_below_atol(c4_path):
+    g = load_graph(c4_path)
+    problem = DynamicsProblem(
+        "heat", SpectralGenerator.from_matrix(combinatorial_laplacian(g)),
+        parse_schedule("const:0.5"), np.full(4, 0.25), 1.0)
+    states = np.array([[0.25, 0.25, 0.25, 0.25],
+                       [0.5, 0.5 + 2.5e-9, -2e-9, -5e-10]])
+    traj = Trajectory(np.array([0.0, 1.0]), states, StepStats())
+    args = argparse.Namespace(model="heat", integrator="bdf", seed=0,
+                              samples=2, t_end=1.0, laplacian="nsym",
+                              atol=1e-9)
+    payload = _sidecar(traj, args, g, problem)
+    assert payload["min_heat_entry"] == -2e-9
+    assert payload["entries_below_atol"] == 1
+
+
 def test_simulate_sidecar_names_symmetric_route(c4_path, tmp_path):
     out = str(tmp_path / "traj.csv")
     assert main(["simulate", "--graph", c4_path, "--t-end", "1",
@@ -184,6 +225,7 @@ def test_simulate_sidecar_names_symmetric_route(c4_path, tmp_path):
     stats = json.load(open(out + ".stats.json"))
     assert stats["generator_route"] == "symmetric"
     assert stats["eigvec_condition"] is None
+    assert stats["iteration_restarts"] == 0
 
 
 def test_power_command_general_kinds_match_schur(digraph_path, tmp_path):

@@ -13,6 +13,7 @@ from fraclap import (
     k_path_laplacian,
     transformed_k_path_laplacian,
 )
+from fraclap.graphs import _hop_coupling
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True)
 ALPHAS = (0.0, 0.5, 1.0, 2.5)
@@ -109,3 +110,23 @@ def test_kpath_generator_rejects_disconnected_graphs(g):
 def test_kpath_generator_rejects_directed_graphs(g):
     with pytest.raises(ValueError, match="needs an undirected graph"):
         KPathGenerator.from_graph(g)
+
+
+def power_hop_coupling(hops, alpha):
+    """The hop-coupling operator by np.power on every hop-matrix entry."""
+    coupling = -np.power(hops, -float(alpha), out=np.zeros_like(hops),
+                         where=hops > 0)
+    np.fill_diagonal(coupling, -coupling.sum(axis=1))
+    return coupling
+
+
+@PROPERTY
+@given(graphs(directed=st.just(False), connected=True))
+def test_hop_coupling_table_gather_is_bit_equal_to_power(g):
+    distances = all_pairs_distances(g)
+    index = distances.hops.astype(np.intp)
+    for alpha in (0.0, 0.3, 1.0, 2.5):
+        gathered = _hop_coupling(index, distances.diameter, alpha)
+        reference = power_hop_coupling(distances.hops, alpha)
+        assert gathered.dtype == reference.dtype
+        assert gathered.tobytes() == reference.tobytes()
