@@ -9,7 +9,8 @@ cost O(n^2) once while each right-hand-side call is O(n).  Non-symmetric
 generators integrate in state space (error control stays on p, where an
 eigenbasis with condition number kappa(V) would amplify it), but a
 diagonalizable one assembles each L^alpha as one product V diag(lambda^alpha)
-V^-1 and has the same closed-form solution as a symmetric one.
+V^-1 and has the same closed-form solution as a symmetric one.  scipy
+loads on first use, when a state-space bdf step factorizes.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     ConvergenceError,
@@ -405,6 +405,8 @@ class _DenseSystem(_System):
         return -self.factor * (state @ self.matrix(self.schedule(t)))
 
     def _factorize(self, c, alpha):
+        import scipy.linalg
+
         m = self.matrix(alpha)
         shifted = np.eye(self.n, dtype=np.result_type(float, m.dtype,
                                                       type(self.factor))) \

@@ -3,19 +3,22 @@
 Graphs are simple (no self-loops, no duplicate edges) with strictly positive
 edge weights.  Matrices are plain dense ``numpy`` arrays: the largest network
 of interest here has ~1000 nodes, so O(n^2) storage is cheap and keeps every
-downstream kernel simple.
+downstream kernel simple.  scipy loads on first use, for the csgraph
+traversals behind distances and connectivity.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse
-from scipy.sparse.csgraph import connected_components, shortest_path
 
 from .errors import GraphParseError
+
+if TYPE_CHECKING:
+    import scipy.sparse
 
 __all__ = [
     "Graph",
@@ -321,6 +324,8 @@ def _arc_matrix(g: Graph) -> scipy.sparse.csr_matrix:
     Undirected edges are stored once; the csgraph routines read both
     directions when called with ``directed=False``.
     """
+    import scipy.sparse
+
     arcs = np.array([(u, v) for u, v, _ in g.edges], dtype=np.intp).reshape(-1, 2)
     return scipy.sparse.csr_matrix(
         (np.ones(len(arcs)), (arcs[:, 0], arcs[:, 1])), shape=(g.n, g.n))
@@ -331,6 +336,8 @@ def all_pairs_distances(g: Graph) -> DistanceMatrix:
 
     Directed graphs use directed paths, so the result need not be symmetric.
     """
+    from scipy.sparse.csgraph import shortest_path
+
     hops = shortest_path(_arc_matrix(g), directed=g.directed, unweighted=True)
     finite = hops[np.isfinite(hops)]
     diameter = int(finite.max()) if finite.size else 0
@@ -339,6 +346,8 @@ def all_pairs_distances(g: Graph) -> DistanceMatrix:
 
 def connectivity(g: Graph) -> ConnectivityReport:
     """Component report; directed graphs are judged by strong connectivity."""
+    from scipy.sparse.csgraph import connected_components
+
     count, labels = connected_components(
         _arc_matrix(g), directed=g.directed, connection="strong")
     comps = sorted((np.flatnonzero(labels == c).tolist() for c in range(count)),

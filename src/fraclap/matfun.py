@@ -5,7 +5,9 @@ Symmetric matrices go through an orthogonal eigendecomposition; general
 When the eigenvector matrix read off that factorization is well conditioned,
 powers are V diag(lambda^alpha) V^-1; otherwise a blocked triangular
 recurrence computes f(T), which replaces the Jordan canonical form (not
-computable in floating point).
+computable in floating point).  scipy loads on first use, by the triangular
+factorization, its powers and the exponential, so the symmetric route runs
+on numpy alone.
 """
 
 from __future__ import annotations
@@ -14,8 +16,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse.csgraph
 
 from .errors import ConvergenceError, NumericError
 
@@ -185,6 +185,8 @@ def triangular_factorization(m: np.ndarray) -> TriangularFactorization:
     that every cluster is contiguous; both steps are independent of the
     exponent, so powers of one factorization share them.
     """
+    import scipy.linalg
+
     m = _require_square(m)
     t, q = scipy.linalg.schur(m.astype(complex), output="complex")
     labels = _cluster_eigenvalues(np.diag(t))
@@ -199,6 +201,8 @@ def _cluster_eigenvalues(diag: np.ndarray) -> np.ndarray:
     expansion about a point near 0, while the Sylvester recurrence between a
     zero block and a nonzero one only divides by their distinct eigenvalues.
     """
+    import scipy.sparse.csgraph
+
     zero = np.abs(diag) <= EIGENVALUE_CLAMP
     linked = (np.abs(diag[:, None] - diag[None, :]) <= BLOCKING_DELTA) \
         & (zero[:, None] == zero[None, :])
@@ -213,6 +217,8 @@ def _reorder_clusters(t: np.ndarray, q: np.ndarray, labels: np.ndarray):
     Returns the reordered (t, q) and the block boundaries: block i spans
     starts[i]:starts[i + 1].
     """
+    import scipy.linalg
+
     work = labels.tolist()
     pos = 0
     starts = [0]
@@ -295,6 +301,8 @@ def _power_block(tb: np.ndarray, alpha: float) -> np.ndarray:
             return total
         if not np.all(np.isfinite(total)):
             break
+    import scipy.linalg
+
     total = scipy.linalg.fractional_matrix_power(tb, alpha)
     if np.all(np.isfinite(total)):
         return total
@@ -311,6 +319,8 @@ def _triangular_power(t: np.ndarray, starts: tuple[int, ...],
     solves T[:lo, :lo] X - X T_JJ = F[:lo, :lo] T[:lo, J] - T[:lo, J] F_JJ,
     which follows from F T = T F (Higham, Functions of Matrices, ch. 9).
     """
+    import scipy.linalg
+
     f = np.zeros_like(t)
     for lo, hi in zip(starts[:-1], starts[1:]):
         t_jj = t[lo:hi, lo:hi]
@@ -378,6 +388,8 @@ _MAX_EXPONENTIAL_NORM = 5.371920351148152 * 2.0 ** 64
 
 def matrix_exponential(m: np.ndarray) -> np.ndarray:
     """exp(M) by scipy's scaling and squaring (scipy.linalg.expm)."""
+    import scipy.linalg
+
     m = _require_square(m)
     norm = np.abs(m).sum(axis=0).max() if m.size else 0.0
     if norm > _MAX_EXPONENTIAL_NORM:

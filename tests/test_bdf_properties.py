@@ -5,7 +5,9 @@ Laplacian generators of strongly connected digraphs, n <= 30, under a sine
 and a sawtooth exponent.  Systems this small refactorize by default, so the
 properties lower dynamics.STALE_SOLVER_MIN_N to hand stale factorizations
 back at every size.  The reference is scipy's DOP853 on p' = -p G(alpha(t)),
-restarted at every jump of the schedule.
+restarted at every jump of the schedule.  The semigroup property under a
+constant exponent is also checked for rk45 and the closed form, the latter
+on symmetric and eigenvalue-route generators.
 """
 
 from unittest import mock
@@ -21,11 +23,14 @@ from fraclap import (
     GeneralGenerator,
     IntegratorConfig,
     KPathGenerator,
+    SpectralGenerator,
+    combinatorial_laplacian,
     directed_laplacians,
     integrate_bdf,
     integrate_rk45,
     parse_schedule,
     random_initial_state,
+    simulate,
 )
 from fraclap import dynamics
 from conftest import ring_with_chords
@@ -41,6 +46,13 @@ generators = st.one_of(
     .filter(lambda g: g.n > 1).map(KPathGenerator.from_graph),
     strong_digraphs().map(
         lambda g: GeneralGenerator.from_matrix(directed_laplacians(g)[0])))
+closed_form_generators = st.one_of(
+    graphs(directed=st.just(False), connected=True)
+    .filter(lambda g: g.n > 1)
+    .map(lambda g: SpectralGenerator.from_matrix(combinatorial_laplacian(g))),
+    strong_digraphs()
+    .map(lambda g: GeneralGenerator.from_matrix(directed_laplacians(g)[0]))
+    .filter(lambda gen: gen.route == "eigen"))
 seeds = st.integers(0, 2 ** 16)
 
 
@@ -90,19 +102,38 @@ def test_stale_bdf_matches_dop853_and_keeps_the_heat_invariants(
     assert traj.stats.factorizations < traj.stats.linear_solves
 
 
+def restart_gap(gen, seed, s, config):
+    """max |p(1) - p(1 - s) restarted from p(s)| under const:0.6, and max |p(1)|."""
+    whole = simulate(heat_problem(gen, "const:0.6", seed), config)
+    first = simulate(heat_problem(gen, "const:0.6", seed, s), config)
+    rest = simulate(DynamicsProblem("heat", gen, parse_schedule("const:0.6"),
+                                    first.states[-1], 1.0 - s), config)
+    return np.abs(rest.states[-1] - whole.states[-1]).max(), \
+        np.abs(whole.states[-1]).max()
+
+
 @PROPERTY
 @given(generators, seeds, st.floats(0.2, 0.8))
 def test_constant_exponent_restart_is_a_semigroup(gen, seed, s):
     # p(s + t) from p0 equals p(t) restarted from p(s), to the bdf tolerance.
-    config = IntegratorConfig(method="bdf", samples=2)
     with stale_at_every_size():
-        whole = integrate_bdf(heat_problem(gen, "const:0.6", seed), config)
-        first = integrate_bdf(heat_problem(gen, "const:0.6", seed, s), config)
-        rest = integrate_bdf(
-            DynamicsProblem("heat", gen, parse_schedule("const:0.6"),
-                            first.states[-1], 1.0 - s), config)
-    assert np.abs(rest.states[-1] - whole.states[-1]).max() \
-        <= 500 * CONFIG.rtol * np.abs(whole.states[-1]).max()
+        gap, scale = restart_gap(gen, seed, s,
+                                 IntegratorConfig(method="bdf", samples=2))
+    assert gap <= 500 * CONFIG.rtol * scale
+
+
+@pytest.mark.parametrize("method, strategy, tolerance", [
+    ("rk45", st.one_of(generators, closed_form_generators), 500 * CONFIG.rtol),
+    ("exact", closed_form_generators, 1e-12),
+], ids=["rk45", "exact"])
+@PROPERTY
+@given(data=st.data(), seed=seeds, s=st.floats(0.2, 0.8))
+def test_constant_exponent_restart_is_a_semigroup_for(method, strategy,
+                                                      tolerance, data, seed, s):
+    gen = data.draw(strategy)
+    gap, scale = restart_gap(gen, seed, s,
+                             IntegratorConfig(method=method, samples=2))
+    assert gap <= tolerance * scale
 
 
 def test_sawtooth_jump_restarts_the_iteration():

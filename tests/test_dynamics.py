@@ -1,4 +1,8 @@
 import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +15,7 @@ from conftest import (
     ring_with_chords,
     weak_ring,
 )
+import fraclap
 from fraclap import (
     ConstantSchedule,
     DynamicsProblem,
@@ -561,3 +566,46 @@ def test_random_initial_states_are_valid_and_reproducible():
     psi = random_initial_state("schrodinger", 20, seed=4)
     assert abs(np.linalg.norm(psi) - 1.0) <= 1e-12
     assert not np.array_equal(psi, random_initial_state("schrodinger", 20, 5))
+
+
+# ---------------------------------------------------------------------------
+# Import footprint
+# ---------------------------------------------------------------------------
+
+_SYMMETRIC_RUN = """\
+import sys
+import fraclap
+from fraclap import dynamics, schedules, stability, trajio
+
+graph = fraclap.load_graph(sys.argv[1])
+generator = dynamics.SpectralGenerator.from_matrix(
+    fraclap.combinatorial_laplacian(graph))
+sine = schedules.parse_schedule("sin:0.5,0.4,12.566370614359172")
+heat = dynamics.random_initial_state("heat", graph.n, 1)
+for method in ("bdf", "rk45", "exact"):
+    dynamics.simulate(dynamics.DynamicsProblem("heat", generator, sine, heat, 1.0),
+                      dynamics.IntegratorConfig(method=method))
+wave = dynamics.DynamicsProblem(
+    "schrodinger", generator, sine,
+    dynamics.random_initial_state("schrodinger", graph.n, 1), 1.0)
+dynamics.simulate(wave, dynamics.IntegratorConfig(method="rk45"))
+stability.floquet_exponents(generator, sine, 0.5)
+samples = trajio._PARALLEL_MIN_ENTRIES // (graph.n + 1) + 1
+long = dynamics.simulate(
+    dynamics.DynamicsProblem("heat", generator, sine, heat, 1.0),
+    dynamics.IntegratorConfig(method="exact", samples=samples))
+trajio.write_trajectory(long, "heat", sys.argv[2])
+assert trajio._usable_cpus() < 2 or trajio._idle_helper is not None
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_symmetric_route_runs_without_scipy(tmp_path):
+    src = str(Path(fraclap.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", _SYMMETRIC_RUN, str(DATA / "karate.mtx"),
+         str(tmp_path / "heat.csv")],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=src))
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"

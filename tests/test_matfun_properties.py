@@ -1,16 +1,25 @@
-"""Property tests for the Schur-Parlett fractional power of general matrices.
+"""Property tests for fractional powers of Laplacian matrices.
 
-Inputs are out-degree Laplacians of strongly connected digraphs and
-random-walk normalized Laplacians of connected undirected graphs, n <= 30.
-Tolerances are multiples of the unit roundoff, scaled by n, the size of the
-result and, where an eigenvector basis enters, its condition number.
+Inputs of the Schur-Parlett power of general matrices are out-degree
+Laplacians of strongly connected digraphs and random-walk normalized
+Laplacians of connected undirected graphs; inputs of the symmetric
+eigenbasis power (SpectralGenerator.matrix) are combinatorial Laplacians of
+connected weighted undirected graphs; n <= 30 throughout.  Tolerances are
+multiples of the unit roundoff, scaled by n, the size of the result and,
+where an eigenvector basis enters, its condition number.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fraclap import Graph, directed_laplacians, normalized_laplacians
+from fraclap import (
+    Graph,
+    SpectralGenerator,
+    combinatorial_laplacian,
+    directed_laplacians,
+    normalized_laplacians,
+)
 from fraclap.matfun import (
     BLOCKING_DELTA,
     EIGENVALUE_CLAMP,
@@ -43,6 +52,9 @@ laplacians = st.one_of(
     graphs(directed=st.just(False), connected=True)
     .filter(lambda g: g.n > 1)
     .map(lambda g: normalized_laplacians(g)[0]))
+symmetric_generators = graphs(directed=st.just(False), connected=True) \
+    .filter(lambda g: g.n > 1) \
+    .map(lambda g: SpectralGenerator.from_matrix(combinatorial_laplacian(g)))
 alphas = st.floats(0.01, 1.0)
 
 
@@ -92,6 +104,32 @@ def test_powers_add_exponents(lap, pair):
     kappa = np.linalg.cond(np.linalg.eig(lap)[1])
     scale = max(1.0, np.abs(pab).max(), np.abs(pa).max() * np.abs(pb).max())
     assert np.abs(pa @ pb - pab).max() <= 100 * EPS * kappa * n * scale
+
+
+@PROPERTY
+@given(symmetric_generators, alphas)
+def test_symmetric_power_has_zero_row_sums(gen, alpha):
+    power = gen.matrix(alpha)
+    scale = max(1.0, np.abs(power).max())
+    assert np.abs(power.sum(axis=1)).max() <= 100 * EPS * gen.n * scale
+
+
+@PROPERTY
+@given(symmetric_generators, alphas)
+def test_symmetric_power_has_no_positive_off_diagonal(gen, alpha):
+    power = gen.matrix(alpha)
+    off = power - np.diag(np.diag(power))
+    assert off.max() <= 1e-12 * np.abs(power).max()
+
+
+@PROPERTY
+@given(symmetric_generators, exponent_pairs())
+def test_symmetric_powers_add_exponents_and_commute(gen, pair):
+    alpha, beta = pair
+    pa, pb, pab = gen.matrix(alpha), gen.matrix(beta), gen.matrix(alpha + beta)
+    scale = max(1.0, np.abs(pab).max(), np.abs(pa).max() * np.abs(pb).max())
+    assert np.abs(pa @ pb - pab).max() <= 100 * EPS * gen.n * scale
+    assert np.abs(pa @ pb - pb @ pa).max() <= 100 * EPS * gen.n * scale
 
 
 @PROPERTY
