@@ -15,11 +15,7 @@ from .dynamics import (
     KPathGenerator,
     SpectralGenerator,
     Trajectory,
-    build_rhs,
     exact_solution,
-    fractional_generator,
-    integrate_bdf,
-    integrate_rk45,
     random_initial_state,
     simulate,
 )
@@ -49,12 +45,10 @@ from .graphs import (
     transformed_k_path_laplacian,
 )
 from .matfun import (
-    SpectralDecomposition,
+    EigenFactorization,
     TriangularFactorization,
-    apply_spectral_function,
     fractional_power_general,
     fractional_power_sym,
-    matrix_exponential,
     sym_eig,
     triangular_factorization,
 )
@@ -67,7 +61,6 @@ from .schedules import (
     SineSchedule,
     SplineSchedule,
     TriangularSchedule,
-    evaluate_schedule,
     parse_schedule,
     render_schedule,
 )

@@ -321,7 +321,7 @@ def cmd_decay(args) -> int:
         "satisfies_floor": None,
     }
     if args.laplacian == "comb":
-        lam2 = float(problem.generator.decomposition.eigenvalues[1])
+        lam2 = float(problem.generator.factorization.eigenvalues[1])
         grid = np.linspace(0.0, problem.horizon, 1001)
         floor = float((lam2 ** problem.schedule(grid)).min())
         report["rate_floor"] = floor

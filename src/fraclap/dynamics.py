@@ -28,10 +28,15 @@ from .errors import (
     StiffnessError,
 )
 from .graphs import Graph, _hop_coupling, _k_path_distances
-from .integrators import StaleSolver, StepStats, bdf_integrate, rk45_integrate
+from .integrators import (
+    StaleSolver,
+    StepStats,
+    _check_samples,
+    bdf_integrate,
+    rk45_integrate,
+)
 from .matfun import (
     EigenFactorization,
-    SpectralDecomposition,
     TriangularFactorization,
     _principal_power,
     _real_if_negligible,
@@ -48,13 +53,9 @@ __all__ = [
     "SpectralGenerator",
     "GeneralGenerator",
     "KPathGenerator",
-    "fractional_generator",
     "DynamicsProblem",
     "IntegratorConfig",
     "Trajectory",
-    "build_rhs",
-    "integrate_rk45",
-    "integrate_bdf",
     "exact_solution",
     "simulate",
     "random_initial_state",
@@ -91,7 +92,7 @@ def _log_built(generator) -> None:
 class SpectralGenerator:
     """L^alpha for a symmetric Laplacian; all powers share one eigenbasis."""
 
-    decomposition: SpectralDecomposition
+    factorization: EigenFactorization
     route = "symmetric"
     eigvec_condition = None
 
@@ -104,21 +105,17 @@ class SpectralGenerator:
 
     @property
     def n(self) -> int:
-        return self.decomposition.n
+        return self.factorization.n
 
     @property
     def is_symmetric(self) -> bool:
         return True
 
-    @property
-    def basis(self) -> np.ndarray:
-        return self.decomposition.basis
-
     def clamped_eigenvalues(self) -> np.ndarray:
-        return self.decomposition.clamped_eigenvalues()
+        return self.factorization.clamped_eigenvalues()
 
     def matrix(self, alpha: float) -> np.ndarray:
-        return fractional_power_sym(self.decomposition, alpha)
+        return fractional_power_sym(self.factorization, alpha)
 
 
 @dataclass(frozen=True)
@@ -208,18 +205,6 @@ class KPathGenerator:
         return _hop_coupling(self.hops, self.diameter, alpha)
 
 
-def fractional_generator(source) -> SpectralGenerator | GeneralGenerator:
-    """Wrap a Laplacian (or its eigendecomposition) in the right generator."""
-    if isinstance(source, (SpectralGenerator, GeneralGenerator, KPathGenerator)):
-        return source
-    if isinstance(source, SpectralDecomposition):
-        return SpectralGenerator(source)
-    m = np.asarray(source)
-    if np.abs(m - m.T).max() <= 1e-9 * max(1.0, np.abs(m).max()):
-        return SpectralGenerator.from_matrix(m)
-    return GeneralGenerator.from_matrix(m)
-
-
 # ---------------------------------------------------------------------------
 # Problems and trajectories
 # ---------------------------------------------------------------------------
@@ -305,20 +290,6 @@ def random_initial_state(model: str, n: int, seed: int) -> np.ndarray:
 # Right-hand sides and per-run systems
 # ---------------------------------------------------------------------------
 
-def build_rhs(problem: DynamicsProblem):
-    """Return the state-space derivative function (t, state) -> -state @ G(t).
-
-    For symmetric generators the product is evaluated through the cached
-    eigenbasis (diagonal powering per call, no matrix assembly).
-    """
-    system = _make_system(problem, problem.schedule, StepStats())
-
-    def rhs(t, state):
-        return system.exit(system.rhs(t, system.enter(state)))
-
-    return rhs
-
-
 class _System:
     """Per-run dynamics whose BDF solver is reused while (c, alpha) holds.
 
@@ -362,14 +333,15 @@ class _EigenSystem(_System):
 
     def __init__(self, generator: SpectralGenerator, schedule, factor, stats):
         super().__init__(schedule, factor, stats)
-        self.basis = generator.basis
+        self.vectors = generator.factorization.vectors
+        self.inverse = generator.factorization.inverse
         self.lam = generator.clamped_eigenvalues()
 
     def enter(self, state):
-        return state @ self.basis
+        return state @ self.vectors
 
     def exit(self, coords):
-        return coords @ self.basis.T
+        return coords @ self.inverse
 
     def rhs(self, t, coords):
         return -self.factor * (self.lam ** self.schedule(t)) * coords
@@ -441,45 +413,19 @@ def _finish(problem, samples, states, stats, clamps):
     return Trajectory(times=samples, states=states, stats=stats)
 
 
-def integrate_rk45(problem: DynamicsProblem,
-                   config: IntegratorConfig | None = None) -> Trajectory:
-    """Explicit embedded 5(4) integration of the problem."""
-    return _integrate(problem, config, "rk45")
-
-
-def integrate_bdf(problem: DynamicsProblem,
-                  config: IntegratorConfig | None = None) -> Trajectory:
-    """Implicit variable-order (1-5) BDF integration of the problem.
-
-    A factorization of I + c G(alpha) is exact while the step size, order
-    (through c) and alpha(t) stay unchanged to within 1e-12, and each step
-    is then one linear solve.  Once they move, a state-space system of at
-    least STALE_SOLVER_MIN_N states keeps its last factorization and
-    iterates with it (simplified Newton, at most four solves), factorizing
-    afresh only for a step whose iteration fails its rate test (counted in
-    stats.iteration_restarts).  Smaller state-space systems, and symmetric
-    eigenbasis systems (an O(n) division), factorize afresh.
-    """
-    return _integrate(problem, config, "bdf")
-
-
-def _integrate(problem, config, method):
+def _integrate(problem, config):
     """Run the rk45 or bdf core on the problem's system.
 
     A StiffnessError from the core is raised again with the partial
     trajectory, mapped back to state space, attached.
     """
-    config = config if config is not None else IntegratorConfig(method=method)
-    if config.method != method:
-        raise ValueError(
-            f"config.method is {config.method!r}, expected {method!r}")
     counting = ClampCountingSchedule(problem.schedule)
     stats = StepStats()
     system = _make_system(problem, counting, stats)
     samples = _sample_grid(problem, config)
     y0 = system.enter(problem.initial_state)
     try:
-        if method == "rk45":
+        if config.method == "rk45":
             coords = rk45_integrate(system.rhs, problem.horizon, y0, samples,
                                     rtol=config.rtol, atol=config.atol,
                                     stats=stats)
@@ -528,22 +474,19 @@ def _exponent_integrals(lam, schedule, times, stats=None):
 
 def _closed_form_factors(generator):
     """(lambda, V, W) with V diag(lambda) W the generator's Laplacian."""
-    if isinstance(generator, SpectralGenerator):
-        return generator.clamped_eigenvalues(), generator.basis, \
-            generator.basis.T
-    if isinstance(generator, GeneralGenerator) and generator.route == "eigen":
-        fac = generator.factorization
-        return fac.clamped_eigenvalues(), fac.vectors, fac.inverse
-    if isinstance(generator, GeneralGenerator):
+    if isinstance(generator, KPathGenerator):
+        raise ValueError(
+            "the closed-form solution needs a fractional Laplacian generator; "
+            "hop-coupling exponents do not share an eigenbasis")
+    fac = generator.factorization
+    if isinstance(fac, TriangularFactorization):
         raise ValueError(
             "the closed-form solution needs a symmetric generator or a "
             "diagonalizable one: kappa(V) = "
             f"{generator.eigvec_condition:.3g} exceeds the limit "
             f"{EIGVEC_CONDITION_LIMIT:.0e}, so this generator is on the "
             "Schur route")
-    raise ValueError(
-        "the closed-form solution needs a fractional Laplacian generator; "
-        "hop-coupling exponents do not share an eigenbasis")
+    return fac.clamped_eigenvalues(), fac.vectors, fac.inverse
 
 
 def _real_product(x, m):
@@ -577,11 +520,7 @@ def exact_solution(problem: DynamicsProblem, sample_times=None) -> Trajectory:
     counting = ClampCountingSchedule(problem.schedule)
     if sample_times is None:
         sample_times = np.linspace(0.0, problem.horizon, 200)
-    samples = np.asarray(sample_times, dtype=float)
-    if samples.ndim != 1 or samples.size == 0 or np.any(np.diff(samples) <= 0):
-        raise ValueError("sample times must be strictly increasing")
-    if samples[0] < 0 or samples[-1] > problem.horizon + 1e-12:
-        raise ValueError("sample times must lie within [0, horizon]")
+    samples = _check_samples(sample_times, problem.horizon)
 
     stats = StepStats()
     integrals = _exponent_integrals(lam, counting, samples, stats)
@@ -598,9 +537,20 @@ def exact_solution(problem: DynamicsProblem, sample_times=None) -> Trajectory:
 
 
 def simulate(problem: DynamicsProblem, config: IntegratorConfig) -> Trajectory:
-    """Dispatch on config.method: rk45, bdf, or exact."""
-    if config.method == "rk45":
-        return integrate_rk45(problem, config)
-    if config.method == "bdf":
-        return integrate_bdf(problem, config)
-    return exact_solution(problem, _sample_grid(problem, config))
+    """Solve the problem by config.method: rk45, bdf, or exact.
+
+    rk45 is an explicit embedded 5(4) integration and exact the closed form
+    (exact_solution) on config.samples equispaced times.  bdf is an implicit
+    variable-order (1-5) BDF integration: a factorization of I + c G(alpha)
+    is exact while the step size, order (through c) and alpha(t) stay
+    unchanged to within 1e-12, and each step is then one linear solve.  Once
+    they move, a state-space system of at least STALE_SOLVER_MIN_N states
+    keeps its last factorization and iterates with it (simplified Newton, at
+    most four solves), factorizing afresh only for a step whose iteration
+    fails its rate test (counted in stats.iteration_restarts).  Smaller
+    state-space systems, and symmetric eigenbasis systems (an O(n)
+    division), factorize afresh.
+    """
+    if config.method == "exact":
+        return exact_solution(problem, _sample_grid(problem, config))
+    return _integrate(problem, config)

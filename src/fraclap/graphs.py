@@ -371,13 +371,11 @@ def connectivity(g: Graph) -> ConnectivityReport:
 # k-path Laplacians
 # ---------------------------------------------------------------------------
 
-def _k_path_distances(g: Graph, distances: DistanceMatrix | None = None
-                      ) -> DistanceMatrix:
+def _k_path_distances(g: Graph) -> DistanceMatrix:
     """Hop distances of g, which the k-path operators need undirected and connected."""
     if g.directed:
         raise ValueError("k_path_laplacian needs an undirected graph")
-    if distances is None:
-        distances = all_pairs_distances(g)
+    distances = all_pairs_distances(g)
     if not np.all(np.isfinite(distances.hops)):
         raise ValueError("k_path_laplacian needs a connected graph")
     return distances
@@ -400,8 +398,7 @@ def _hop_coupling(hops: np.ndarray, diameter: int, alpha: float) -> np.ndarray:
     return coupling
 
 
-def k_path_laplacian(g: Graph, k: int, distances: DistanceMatrix | None = None
-                     ) -> np.ndarray:
+def k_path_laplacian(g: Graph, k: int) -> np.ndarray:
     """Laplacian-like coupling of node pairs at hop distance exactly k.
 
     Off-diagonal entries are -1 where d(u, v) = k; the diagonal holds the
@@ -410,7 +407,7 @@ def k_path_laplacian(g: Graph, k: int, distances: DistanceMatrix | None = None
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    mask = _k_path_distances(g, distances).hops == k
+    mask = _k_path_distances(g).hops == k
     lap = np.where(mask, -1.0, 0.0)
     np.fill_diagonal(lap, mask.sum(axis=1))
     return lap

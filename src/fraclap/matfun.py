@@ -6,21 +6,18 @@ When the eigenvector matrix read off that factorization is well conditioned,
 powers are V diag(lambda^alpha) V^-1; otherwise a blocked triangular
 recurrence computes f(T), which replaces the Jordan canonical form (not
 computable in floating point).  scipy loads on first use, by the triangular
-factorization, its powers and the exponential, so the symmetric route runs
-on numpy alone.
+factorization and its powers, so the symmetric route runs on numpy alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .errors import ConvergenceError, NumericError
 
 __all__ = [
-    "SpectralDecomposition",
     "TriangularFactorization",
     "EigenFactorization",
     "sym_eig",
@@ -29,8 +26,6 @@ __all__ = [
     "power_from_factorization",
     "triangular_factorization",
     "eigen_factorization",
-    "matrix_exponential",
-    "apply_spectral_function",
 ]
 
 # Eigenvalues this close to zero are treated as an exact zero before powering;
@@ -46,21 +41,6 @@ def _clamped(values: np.ndarray) -> np.ndarray:
     values = values.copy()
     values[np.abs(values) <= EIGENVALUE_CLAMP] = 0.0
     return values
-
-
-@dataclass(frozen=True)
-class SpectralDecomposition:
-    """Eigenvalues (ascending) and orthonormal eigenvector columns."""
-
-    eigenvalues: np.ndarray
-    basis: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.eigenvalues.shape[0]
-
-    def clamped_eigenvalues(self) -> np.ndarray:
-        return _clamped(self.eigenvalues)
 
 
 @dataclass(frozen=True)
@@ -89,7 +69,9 @@ class EigenFactorization:
     """Eigenvector columns V and W = V^-1 with V diag(lambda) W equal to the input.
 
     condition is the 2-norm condition number of V, which bounds how much
-    rounding in V diag(f(lambda)) W is amplified.
+    rounding in V diag(f(lambda)) W is amplified.  For a symmetric input
+    (sym_eig) V is orthogonal, W is the transposed view V.T and condition
+    is 1.
     """
 
     eigenvalues: np.ndarray
@@ -114,7 +96,7 @@ def _require_square(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def sym_eig(m: np.ndarray) -> SpectralDecomposition:
+def sym_eig(m: np.ndarray) -> EigenFactorization:
     """Eigendecomposition of a symmetric matrix, eigenvalues ascending.
 
     Raises ValueError if the matrix is not numerically symmetric and
@@ -133,7 +115,8 @@ def sym_eig(m: np.ndarray) -> SpectralDecomposition:
         raise ConvergenceError(
             f"symmetric eigensolver did not converge (input scale {residual:.3e})"
         ) from exc
-    return SpectralDecomposition(eigenvalues=lam, basis=x)
+    return EigenFactorization(eigenvalues=lam, vectors=x, inverse=x.T,
+                              condition=1.0)
 
 
 def _check_alpha(alpha: float) -> float:
@@ -143,8 +126,8 @@ def _check_alpha(alpha: float) -> float:
     return alpha
 
 
-def fractional_power_sym(d: SpectralDecomposition, alpha: float) -> np.ndarray:
-    """X diag(lambda^alpha) X^T with 0^alpha := 0.
+def fractional_power_sym(d: EigenFactorization, alpha: float) -> np.ndarray:
+    """V diag(lambda^alpha) V^T of a sym_eig factorization, with 0^alpha := 0.
 
     Eigenvalues within EIGENVALUE_CLAMP of zero are zeroed first; genuinely
     negative eigenvalues are rejected.
@@ -156,22 +139,8 @@ def fractional_power_sym(d: SpectralDecomposition, alpha: float) -> np.ndarray:
             f"matrix has a negative eigenvalue {lam[0]:.3e}; "
             "fractional powers need a positive semidefinite input")
     powered = lam ** alpha
-    out = (d.basis * powered) @ d.basis.T
+    out = (d.vectors * powered) @ d.inverse
     return 0.5 * (out + out.T)
-
-
-def apply_spectral_function(d: SpectralDecomposition,
-                            f: Callable[[float], complex]) -> np.ndarray:
-    """X diag(f(lambda)) X^T for a scalar function f finite on the spectrum."""
-    values = np.array([f(lam) for lam in d.eigenvalues])
-    bad = np.nonzero(~np.isfinite(values))[0]
-    if bad.size:
-        i = int(bad[0])
-        raise ValueError(
-            f"f is not finite at eigenvalue {d.eigenvalues[i]!r} (index {i})")
-    if np.iscomplexobj(values) and np.abs(values.imag).max() == 0.0:
-        values = values.real
-    return (d.basis * values) @ d.basis.T
 
 
 # ---------------------------------------------------------------------------
@@ -375,27 +344,3 @@ def fractional_power_general(m: np.ndarray, alpha: float) -> np.ndarray:
     otherwise the complex result.
     """
     return power_from_factorization(triangular_factorization(m), alpha)
-
-
-# ---------------------------------------------------------------------------
-# Matrix exponential
-# ---------------------------------------------------------------------------
-
-# The scaling-and-squaring method needs log2(norm / 5.37) squarings; more
-# than 64 means the input is out of range for any useful exponential.
-_MAX_EXPONENTIAL_NORM = 5.371920351148152 * 2.0 ** 64
-
-
-def matrix_exponential(m: np.ndarray) -> np.ndarray:
-    """exp(M) by scipy's scaling and squaring (scipy.linalg.expm)."""
-    import scipy.linalg
-
-    m = _require_square(m)
-    norm = np.abs(m).sum(axis=0).max() if m.size else 0.0
-    if norm > _MAX_EXPONENTIAL_NORM:
-        raise NumericError(
-            f"matrix norm {norm:.3e} too large for the exponential")
-    result = scipy.linalg.expm(m)
-    if not np.all(np.isfinite(result)):
-        raise NumericError("matrix exponential overflowed")
-    return result

@@ -28,7 +28,6 @@ __all__ = [
     "TriangularSchedule",
     "SplineSchedule",
     "ClampCountingSchedule",
-    "evaluate_schedule",
     "parse_schedule",
     "render_schedule",
 ]
@@ -64,13 +63,6 @@ def _clamp(raw):
     if _is_array(raw):
         return np.clip(raw, ALPHA_MIN, 1.0)
     return min(1.0, max(ALPHA_MIN, float(raw)))
-
-
-def evaluate_schedule(schedule: AlphaSchedule, t: float) -> float:
-    """Clamped evaluation of a schedule at time t >= 0."""
-    if t < 0:
-        raise ValueError(f"schedules are defined for t >= 0, got {t}")
-    return schedule(t)
 
 
 @dataclass(frozen=True)

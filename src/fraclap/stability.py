@@ -7,17 +7,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import (
-    KPathGenerator,
+    GeneralGenerator,
+    SpectralGenerator,
     Trajectory,
     _exponent_integrals,
-    fractional_generator,
 )
 from .errors import NumericError
 from .graphs import Graph, connectivity, directed_laplacians
 # Not called here: kept as stability.rk45_integrate, the attribute that
 # benchmarks/test_bench_checks.py checks the tracer patches and restores.
 from .integrators import rk45_integrate  # noqa: F401
-from .matfun import SpectralDecomposition, fractional_power_sym
+from .matfun import EigenFactorization, fractional_power_sym
 from .schedules import AlphaSchedule
 
 __all__ = [
@@ -62,7 +62,7 @@ def steady_state(g: Graph) -> np.ndarray:
     return vec / total
 
 
-def antiderivative_commutator_residual(d: SpectralDecomposition,
+def antiderivative_commutator_residual(d: EigenFactorization,
                                        schedule: AlphaSchedule,
                                        t: float) -> float:
     """Max-norm of [L^{alpha(t)}, integral_0^t L^{alpha(tau)} dtau].
@@ -75,7 +75,7 @@ def antiderivative_commutator_residual(d: SpectralDecomposition,
     lam = d.clamped_eigenvalues()
     integrals = _exponent_integrals(lam, schedule, [t])[0]
     power_now = fractional_power_sym(d, schedule(t))
-    antider = (d.basis * integrals) @ d.basis.T
+    antider = (d.vectors * integrals) @ d.inverse
     residual = power_now @ antider - antider @ power_now
     return float(np.abs(residual).max())
 
@@ -90,8 +90,8 @@ def _check_periodic(schedule, period):
                 f"schedule is not {period}-periodic (mismatch at t={t:.6g})")
 
 
-def floquet_exponents(source, schedule: AlphaSchedule, period: float
-                      ) -> np.ndarray:
+def floquet_exponents(generator: SpectralGenerator | GeneralGenerator,
+                      schedule: AlphaSchedule, period: float) -> np.ndarray:
     """Characteristic exponents of one period of the dynamics.
 
     All powers of one Laplacian commute, so the monodromy
@@ -99,18 +99,19 @@ def floquet_exponents(source, schedule: AlphaSchedule, period: float
     exp(-int_0^T lambda_i^{alpha(tau)} dtau), even for a Laplacian that is
     not diagonalizable (Higham, Functions of Matrices, ch. 9).  The
     exponents are -(1/T) int_0^T lambda_i^{alpha(tau)} dtau, with lambda_i
-    from eigh (symmetric source) or from the triangular factor of a general
-    one, and the integrals from the batched Gauss-Kronrod quadrature of
-    exact_solution (tolerance 1e-10 per eigenvalue and part).  Imaginary
+    from the generator's factorization (eigenvalues, or the diagonal of the
+    triangular factor on the Schur route), and the integrals from the
+    batched Gauss-Kronrod quadrature of exact_solution (tolerance 1e-10 per
+    eigenvalue and part).  Imaginary
     parts are reduced to the principal branch (-pi/T, pi/T], so each
     exponent equals log(multiplier) / T.  Exponents are sorted by
     decreasing real part (the conserved direction comes first).
     """
+    if not isinstance(generator, (SpectralGenerator, GeneralGenerator)):
+        raise ValueError("Floquet exponents need a SpectralGenerator or a "
+                         "GeneralGenerator, got "
+                         f"{type(generator).__name__}")
     _check_periodic(schedule, period)
-    generator = fractional_generator(source)
-    if isinstance(generator, KPathGenerator):
-        raise ValueError("Floquet exponents need a fractional Laplacian "
-                         "generator, not the hop-coupling one")
     integrals = _exponent_integrals(generator.clamped_eigenvalues(), schedule,
                                     [period])[0]
     exponents = (-integrals / period).astype(complex)

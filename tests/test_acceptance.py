@@ -27,9 +27,8 @@ from fraclap import (
     floquet_exponents,
     fractional_power_general,
     fractional_power_sym,
-    integrate_bdf,
-    integrate_rk45,
     random_initial_state,
+    simulate,
     antiderivative_commutator_residual,
     decay_envelope,
     sym_eig,
@@ -105,10 +104,9 @@ def karate_runs():
     elapsed = time.perf_counter()
     for name, schedule in FIVE_FAMILIES.items():
         problem = DynamicsProblem("heat", gen, schedule, p0, 10.0)
-        for method, integrate in (("rk45", integrate_rk45),
-                                  ("bdf", integrate_bdf)):
+        for method in ("rk45", "bdf"):
             config = IntegratorConfig(method=method, rtol=1e-6, atol=1e-9)
-            runs[(name, method)] = integrate(problem, config)
+            runs[(name, method)] = simulate(problem, config)
     return runs, time.perf_counter() - elapsed
 
 
@@ -182,9 +180,9 @@ def test_criterion_06_oracle_equivalence():
             for schedule in schedules:
                 problem = DynamicsProblem("heat", gen, schedule, p0, horizon)
                 results = [
-                    integrate_rk45(problem, IntegratorConfig(
+                    simulate(problem, IntegratorConfig(
                         method="rk45", rtol=1e-9, atol=1e-9, samples=20)).states,
-                    integrate_bdf(problem, IntegratorConfig(
+                    simulate(problem, IntegratorConfig(
                         method="bdf", rtol=1e-9, atol=1e-9, samples=20)).states,
                     exact_solution(problem, times).states,
                 ]
@@ -214,9 +212,9 @@ def test_criterion_08_stiffness_ratio():
         p0 = random_initial_state("heat", g.n, seed=17)
         problem = DynamicsProblem("heat", gen, ExpSaturatingSchedule(10.0),
                                   p0, 10.0)
-        explicit = integrate_rk45(problem, IntegratorConfig(
+        explicit = simulate(problem, IntegratorConfig(
             method="rk45", rtol=1e-6, atol=1e-9))
-        implicit = integrate_bdf(problem, IntegratorConfig(
+        implicit = simulate(problem, IntegratorConfig(
             method="bdf", rtol=1e-6, atol=1e-9))
         ratio = explicit.stats.accepted / implicit.stats.accepted
         assert ratio >= 5.0, (
@@ -228,7 +226,8 @@ def test_criterion_09_floquet_exponents():
     with criterion(9, "Floquet exponents for the sine schedule, period 1/2"):
         period = 0.5
         decomp = sym_eig(combinatorial_laplacian(cycle_graph(4)))
-        exponents = np.asarray(floquet_exponents(decomp, SINE, period))
+        exponents = np.asarray(floquet_exponents(SpectralGenerator(decomp),
+                                                 SINE, period))
         assert np.abs(exponents.imag).max() == 0.0
         real = exponents.real
         assert abs(real[0]) <= 1e-8
@@ -264,7 +263,7 @@ def test_criterion_11_schrodinger_never_settles(karate):
             psi0 = np.zeros(g.n, dtype=complex)
             psi0[0] = 1.0  # localized start; the uniform state is stationary
             problem = DynamicsProblem("schrodinger", gen, SINE, psi0, 5.0)
-            traj = integrate_rk45(problem, IntegratorConfig(
+            traj = simulate(problem, IntegratorConfig(
                 method="rk45", rtol=1e-8, atol=1e-12, samples=200))
             norms = np.linalg.norm(traj.states, axis=1)
             assert np.abs(norms - 1.0).max() <= 1e-5
@@ -282,9 +281,8 @@ def test_criterion_12_directed_sanity(digraph10):
         gen = GeneralGenerator.from_matrix(l_out)
         p0 = random_initial_state("heat", 10, seed=29)
         problem = DynamicsProblem("heat", gen, SINE, p0, 5.0)
-        for method, integrate in (("rk45", integrate_rk45),
-                                  ("bdf", integrate_bdf)):
-            traj = integrate(problem, IntegratorConfig(method=method,
-                                                       samples=100))
+        for method in ("rk45", "bdf"):
+            traj = simulate(problem, IntegratorConfig(method=method,
+                                                      samples=100))
             drift = np.abs(traj.states.sum(axis=1) - 1.0).max()
             assert drift <= 1e-5, f"{method}: mass drift {drift:.2e}"

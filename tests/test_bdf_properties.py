@@ -26,8 +26,6 @@ from fraclap import (
     SpectralGenerator,
     combinatorial_laplacian,
     directed_laplacians,
-    integrate_bdf,
-    integrate_rk45,
     parse_schedule,
     random_initial_state,
     simulate,
@@ -95,7 +93,7 @@ def test_stale_bdf_matches_dop853_and_keeps_the_heat_invariants(
         schedule, gen, seed):
     problem = heat_problem(gen, schedule, seed)
     with stale_at_every_size():
-        traj = integrate_bdf(problem, CONFIG)
+        traj = simulate(problem, CONFIG)
     assert_matches_reference(problem, traj)
     assert np.abs(traj.states.sum(axis=1) - 1.0).max() <= 1e-12
     assert traj.states.min() >= -10 * CONFIG.atol
@@ -142,7 +140,7 @@ def test_sawtooth_jump_restarts_the_iteration():
     # n = 120 is above STALE_SOLVER_MIN_N.
     gen = KPathGenerator.from_graph(ring_with_chords(120, 12, seed=4))
     problem = heat_problem(gen, "saw:0.2,0.9,0.5", 5)
-    traj = integrate_bdf(problem, CONFIG)
+    traj = simulate(problem, CONFIG)
     assert traj.stats.iteration_restarts >= 1
     assert traj.stats.factorizations < traj.stats.accepted
     assert_matches_reference(problem, traj)
@@ -152,7 +150,7 @@ def test_small_systems_factorize_afresh():
     # Below STALE_SOLVER_MIN_N every moved (c, alpha) is a new factorization.
     gen = KPathGenerator.from_graph(ring_with_chords(30, 5, seed=4))
     assert gen.n < dynamics.STALE_SOLVER_MIN_N
-    traj = integrate_bdf(heat_problem(gen, SCHEDULES[0], 5), CONFIG)
+    traj = simulate(heat_problem(gen, SCHEDULES[0], 5), CONFIG)
     stats = traj.stats
     assert stats.iteration_restarts == 0
     assert stats.factorizations == stats.linear_solves \
@@ -167,8 +165,8 @@ def test_stale_bdf_schrodinger_matches_rk45():
                               random_initial_state("schrodinger", gen.n, 3),
                               1.0)
     with stale_at_every_size():
-        bdf = integrate_bdf(problem, IntegratorConfig(method="bdf", rtol=1e-8,
-                                                      atol=1e-11))
-    rk45 = integrate_rk45(problem, IntegratorConfig(rtol=1e-10, atol=1e-13))
+        bdf = simulate(problem, IntegratorConfig(method="bdf", rtol=1e-8,
+                                                 atol=1e-11))
+    rk45 = simulate(problem, IntegratorConfig(rtol=1e-10, atol=1e-13))
     assert bdf.stats.factorizations < bdf.stats.accepted
     assert np.abs(bdf.states - rk45.states).max() <= 500 * 1e-8

@@ -29,23 +29,20 @@ from fraclap import (
     SplineSchedule,
     StiffnessError,
     TriangularSchedule,
-    build_rhs,
     combinatorial_laplacian,
     directed_laplacians,
     exact_solution,
-    fractional_generator,
     fractional_power_general,
     fractional_power_sym,
-    integrate_bdf,
-    integrate_rk45,
     load_graph,
-    matrix_exponential,
     normalized_laplacians,
     random_initial_state,
     simulate,
     sym_eig,
 )
-from fraclap.matfun import SpectralDecomposition
+from fraclap.dynamics import _make_system
+from fraclap.integrators import StepStats
+from fraclap.matfun import EigenFactorization
 
 SINE = SineSchedule(0.5, 0.4, 4 * np.pi)
 
@@ -110,26 +107,9 @@ def test_config_validation():
         IntegratorConfig(samples=1)
 
 
-def test_integrator_method_mismatch(c4):
-    problem = DynamicsProblem("heat", c4_generator(c4), SINE,
-                              np.full(4, 0.25), 1.0)
-    with pytest.raises(ValueError, match="method"):
-        integrate_rk45(problem, IntegratorConfig(method="bdf"))
-    with pytest.raises(ValueError, match="method"):
-        integrate_bdf(problem, IntegratorConfig(method="rk45"))
-
-
 # ---------------------------------------------------------------------------
 # Generators
 # ---------------------------------------------------------------------------
-
-def test_fractional_generator_dispatch(c4, digraph5):
-    lap = combinatorial_laplacian(c4)
-    assert isinstance(fractional_generator(lap), SpectralGenerator)
-    assert isinstance(fractional_generator(sym_eig(lap)), SpectralGenerator)
-    l_out, _ = directed_laplacians(digraph5)
-    assert isinstance(fractional_generator(l_out), GeneralGenerator)
-
 
 def test_kpath_generator_matrix_values(c4):
     gen = KPathGenerator.from_graph(c4)
@@ -152,13 +132,19 @@ def test_general_generator_nrw_ring_matches_symmetric(alpha):
 
 
 # ---------------------------------------------------------------------------
-# build_rhs
+# Right-hand sides in state space
 # ---------------------------------------------------------------------------
+
+def state_rhs(problem):
+    """(t, p) -> -p @ G(t) through the system the integrators run on."""
+    system = _make_system(problem, problem.schedule, StepStats())
+    return lambda t, state: system.exit(system.rhs(t, system.enter(state)))
+
 
 def test_rhs_heat_basis_row(c4):
     problem = DynamicsProblem("heat", c4_generator(c4), ConstantSchedule(1.0),
                               np.full(4, 0.25), 1.0)
-    rhs = build_rhs(problem)
+    rhs = state_rhs(problem)
     derivative = rhs(0.0, np.array([1.0, 0.0, 0.0, 0.0]))
     assert np.abs(derivative - [-2.0, 1.0, 0.0, 1.0]).max() <= 1e-12
 
@@ -166,7 +152,7 @@ def test_rhs_heat_basis_row(c4):
 def test_rhs_uniform_state_is_stationary(c4):
     problem = DynamicsProblem("heat", c4_generator(c4), SINE,
                               np.full(4, 0.25), 1.0)
-    rhs = build_rhs(problem)
+    rhs = state_rhs(problem)
     for t in (0.0, 0.3, 2.0):
         assert np.abs(rhs(t, np.full(4, 0.25))).max() <= 1e-14
 
@@ -175,7 +161,7 @@ def test_rhs_schrodinger_rotates_real_states(c4):
     psi0 = np.zeros(4, dtype=complex)
     psi0[0] = 1.0
     problem = DynamicsProblem("schrodinger", c4_generator(c4), SINE, psi0, 1.0)
-    rhs = build_rhs(problem)
+    rhs = state_rhs(problem)
     derivative = rhs(0.0, psi0)
     assert np.abs(derivative.real).max() <= 1e-14
     assert np.abs(derivative.imag).max() > 0.1
@@ -186,7 +172,7 @@ def test_rhs_dense_path_matches_eigen_path(digraph5):
     gen = GeneralGenerator.from_matrix(l_out)
     p0 = np.full(5, 0.2)
     problem = DynamicsProblem("heat", gen, ConstantSchedule(0.7), p0, 1.0)
-    rhs = build_rhs(problem)
+    rhs = state_rhs(problem)
     from fraclap import fractional_power_general
 
     expected = -p0 @ fractional_power_general(l_out, 0.7)
@@ -200,7 +186,7 @@ def test_rhs_dense_path_matches_eigen_path(digraph5):
 def test_rk45_c4_reaches_uniform(c4):
     problem = DynamicsProblem("heat", c4_generator(c4), ConstantSchedule(1.0),
                               np.array([1.0, 0, 0, 0]), 10.0)
-    traj = integrate_rk45(problem, IntegratorConfig(rtol=1e-6, atol=1e-9))
+    traj = simulate(problem, IntegratorConfig(rtol=1e-6, atol=1e-9))
     assert traj.times[0] == 0.0 and traj.times[-1] == 10.0
     assert np.abs(traj.states[-1] - 0.25).max() <= 1e-5
     oracle = spectral_oracle_heat(combinatorial_laplacian(c4),
@@ -212,8 +198,8 @@ def test_rk45_c4_reaches_uniform(c4):
 def test_bdf_matches_rk45_constant_alpha(c4):
     problem = DynamicsProblem("heat", c4_generator(c4), ConstantSchedule(1.0),
                               np.array([1.0, 0, 0, 0]), 10.0)
-    a = integrate_rk45(problem, IntegratorConfig(method="rk45"))
-    b = integrate_bdf(problem, IntegratorConfig(method="bdf"))
+    a = simulate(problem, IntegratorConfig(method="rk45"))
+    b = simulate(problem, IntegratorConfig(method="bdf"))
     assert np.abs(a.states - b.states).max() <= 2e-5
     assert b.stats.linear_solves > 0
 
@@ -221,7 +207,7 @@ def test_bdf_matches_rk45_constant_alpha(c4):
 def test_bdf_uniform_initial_state_is_constant(karate):
     gen = SpectralGenerator.from_matrix(combinatorial_laplacian(karate))
     problem = DynamicsProblem("heat", gen, SINE, np.full(34, 1 / 34), 10.0)
-    traj = integrate_bdf(problem, IntegratorConfig(method="bdf"))
+    traj = simulate(problem, IntegratorConfig(method="bdf"))
     assert np.abs(traj.states - 1 / 34).max() <= 1e-9
 
 
@@ -249,7 +235,7 @@ def test_clamp_counter_reaches_trajectory_stats(karate):
     gen = SpectralGenerator.from_matrix(combinatorial_laplacian(karate))
     p0 = random_initial_state("heat", 34, seed=5)
     problem = DynamicsProblem("heat", gen, ExpSaturatingSchedule(10.0), p0, 2.0)
-    traj = integrate_rk45(problem, IntegratorConfig())
+    traj = simulate(problem, IntegratorConfig())
     assert traj.stats.clamp_count >= 1  # alpha(0) = 0 clamps at the origin
 
 
@@ -258,7 +244,7 @@ def test_schrodinger_norm_conservation(karate):
     psi0 = random_initial_state("schrodinger", 34, seed=9)
     problem = DynamicsProblem("schrodinger", gen, SINE, psi0, 5.0)
     config = IntegratorConfig(method="rk45", rtol=1e-6, atol=1e-9)
-    traj = integrate_rk45(problem, config)
+    traj = simulate(problem, config)
     norms = np.linalg.norm(traj.states, axis=1)
     assert np.abs(norms - 1.0).max() <= 100 * config.rtol
 
@@ -267,9 +253,9 @@ def test_kpath_generator_dynamics_conserve_mass(c4):
     gen = KPathGenerator.from_graph(c4)
     p0 = np.array([1.0, 0, 0, 0])
     problem = DynamicsProblem("heat", gen, SINE, p0, 4.0)
-    a = integrate_rk45(problem, IntegratorConfig(rtol=1e-8, atol=1e-11))
-    b = integrate_bdf(problem, IntegratorConfig(method="bdf", rtol=1e-8,
-                                                atol=1e-11))
+    a = simulate(problem, IntegratorConfig(rtol=1e-8, atol=1e-11))
+    b = simulate(problem, IntegratorConfig(method="bdf", rtol=1e-8,
+                                           atol=1e-11))
     assert np.abs(a.states.sum(axis=1) - 1.0).max() <= 1e-7
     assert np.abs(a.states - b.states).max() <= 1e-5
 
@@ -293,17 +279,18 @@ def test_bdf_reuses_factorizations_for_constant_exponent(c4):
 
 def test_stiffness_error_carries_trajectory():
     # One mode with an enormous rate forces the explicit step below the floor.
-    decomp = SpectralDecomposition(eigenvalues=np.array([0.0, 1e16]),
-                                   basis=np.eye(2))
+    decomp = EigenFactorization(eigenvalues=np.array([0.0, 1e16]),
+                                vectors=np.eye(2), inverse=np.eye(2),
+                                condition=1.0)
     problem = DynamicsProblem("heat", SpectralGenerator(decomp),
                               ConstantSchedule(1.0), np.array([0.5, 0.5]), 1.0)
     with pytest.raises(StiffnessError) as err:
-        integrate_rk45(problem, IntegratorConfig())
+        simulate(problem, IntegratorConfig())
     partial = err.value.partial
     assert partial.states.shape[1] == 2
     # the implicit integrator shrugs at the same problem; the stiff mode
     # (a synthetic non-Laplacian generator) decays to zero
-    traj = integrate_bdf(problem, IntegratorConfig(method="bdf"))
+    traj = simulate(problem, IntegratorConfig(method="bdf"))
     assert np.abs(traj.states[-1] - [0.5, 0.0]).max() <= 1e-6
 
 
@@ -312,8 +299,9 @@ def test_stiffness_error_carries_trajectory():
 # ---------------------------------------------------------------------------
 
 def test_exact_unit_eigenvalue_row():
-    decomp = SpectralDecomposition(eigenvalues=np.array([0.0, 1.0]),
-                                   basis=np.eye(2))
+    decomp = EigenFactorization(eigenvalues=np.array([0.0, 1.0]),
+                                vectors=np.eye(2), inverse=np.eye(2),
+                                condition=1.0)
     problem = DynamicsProblem("heat", SpectralGenerator(decomp), SINE,
                               np.array([0.3, 0.7]), 4.0)
     traj = exact_solution(problem, np.array([0.0, 1.0, 2.5, 4.0]))
@@ -330,7 +318,7 @@ def test_exact_constant_alpha_matches_expm(c4):
     traj = exact_solution(problem, np.array([0.0, 1.0, 3.0]))
     power = gen.matrix(0.5)
     for row, t in zip(traj.states, [0.0, 1.0, 3.0]):
-        assert np.abs(row - p0 @ matrix_exponential(-t * power)).max() <= 1e-9
+        assert np.abs(row - p0 @ scipy.linalg.expm(-t * power)).max() <= 1e-9
 
 
 def test_exact_cross_validates_rk45_sine(c4):
@@ -339,8 +327,8 @@ def test_exact_cross_validates_rk45_sine(c4):
     problem = DynamicsProblem("heat", gen, SINE, p0, 2.0)
     times = np.linspace(0.0, 2.0, 9)
     reference = exact_solution(problem, times)
-    traj = integrate_rk45(problem, IntegratorConfig(rtol=1e-9, atol=1e-12,
-                                                    samples=9))
+    traj = simulate(problem, IntegratorConfig(rtol=1e-9, atol=1e-12,
+                                              samples=9))
     assert np.abs(traj.states - reference.states).max() <= 1e-6
 
 
@@ -351,8 +339,8 @@ def test_schrodinger_rk45_matches_unitary_flow(c4):
     problem = DynamicsProblem("schrodinger", gen, SINE, psi0, 5.0)
     times = np.linspace(0.0, 5.0, 26)
     reference = exact_solution(problem, times)  # exactly unitary per mode
-    traj = integrate_rk45(problem, IntegratorConfig(rtol=1e-9, atol=1e-12,
-                                                    samples=26))
+    traj = simulate(problem, IntegratorConfig(rtol=1e-9, atol=1e-12,
+                                              samples=26))
     assert np.abs(traj.states - reference.states).max() <= 1e-6
 
 
@@ -392,8 +380,8 @@ def test_exact_eigen_route_matches_bdf(name, model):
     p0 = random_initial_state(model, lap.shape[0], seed=5)
     problem = DynamicsProblem(model, gen, SINE, p0, 1.0)
     exact = exact_solution(problem, np.linspace(0.0, 1.0, 50))
-    bdf = integrate_bdf(problem, IntegratorConfig(method="bdf", rtol=1e-10,
-                                                  atol=1e-13, samples=50))
+    bdf = simulate(problem, IntegratorConfig(method="bdf", rtol=1e-10,
+                                             atol=1e-13, samples=50))
     assert np.abs(exact.states - bdf.states).max() \
         <= 1e-8 * np.abs(bdf.states).max()
     if model == "heat":
@@ -410,7 +398,7 @@ def test_exact_eigen_route_constant_alpha_matches_expm():
     traj = exact_solution(problem, np.array([0.0, 0.5, 2.0]))
     power = gen.matrix(0.5)
     for row, t in zip(traj.states, [0.0, 0.5, 2.0]):
-        assert np.abs(row - p0 @ matrix_exponential(-t * power)).max() <= 1e-12
+        assert np.abs(row - p0 @ scipy.linalg.expm(-t * power)).max() <= 1e-12
 
 
 def test_schrodinger_exact_matches_rk45_karate(karate):
@@ -418,11 +406,11 @@ def test_schrodinger_exact_matches_rk45_karate(karate):
     psi0 = random_initial_state("schrodinger", 34, seed=6)
     problem = DynamicsProblem("schrodinger", gen, SINE, psi0, 1.0)
     exact = exact_solution(problem, np.linspace(0.0, 1.0, 21))
-    traj = integrate_rk45(problem, IntegratorConfig(rtol=1e-10, atol=1e-13,
-                                                    samples=21))
+    traj = simulate(problem, IntegratorConfig(rtol=1e-10, atol=1e-13,
+                                              samples=21))
     assert np.abs(exact.states - traj.states).max() <= 1e-8
     # The two real products give the complex product's result.
-    lam, basis = gen.clamped_eigenvalues(), gen.basis
+    lam, basis = gen.clamped_eigenvalues(), gen.factorization.vectors
     from fraclap.dynamics import _exponent_integrals
 
     phase = np.exp(-1j * _exponent_integrals(lam, SINE, exact.times))
@@ -491,9 +479,9 @@ def test_three_route_agreement_every_family(schedule):
     problem = DynamicsProblem("heat", gen, schedule, p0, 5.0)
     times = np.linspace(0.0, 5.0, 20)
     routes = [
-        integrate_rk45(problem, IntegratorConfig(
+        simulate(problem, IntegratorConfig(
             method="rk45", rtol=1e-9, atol=1e-12, samples=20)).states,
-        integrate_bdf(problem, IntegratorConfig(
+        simulate(problem, IntegratorConfig(
             method="bdf", rtol=1e-9, atol=1e-12, samples=20)).states,
         exact_solution(problem, times).states,
     ]
@@ -544,9 +532,9 @@ def test_sandwich_envelope_logged_not_asserted(c4, capsys):
                           p0, 6.0)
     lo = DynamicsProblem("heat", gen, ConstantSchedule(0.05), p0, 6.0)
     hi = DynamicsProblem("heat", gen, ConstantSchedule(0.75), p0, 6.0)
-    mid = integrate_rk45(saw, config).states
-    lo_states = integrate_rk45(lo, config).states
-    hi_states = integrate_rk45(hi, config).states
+    mid = simulate(saw, config).states
+    lo_states = simulate(lo, config).states
+    hi_states = simulate(hi, config).states
     upper = np.maximum(lo_states, hi_states) + 10 * rtol
     lower = np.minimum(lo_states, hi_states) - 10 * rtol
     excess = np.maximum(mid - upper, lower - mid).max()

@@ -18,11 +18,10 @@ from fraclap import (
     SpectralGenerator,
     combinatorial_laplacian,
     exact_solution,
-    integrate_bdf,
-    integrate_rk45,
     parse_schedule,
     random_initial_state,
     render_schedule,
+    simulate,
 )
 from fraclap.schedules import ClampCountingSchedule
 from test_graph_properties import graphs
@@ -105,7 +104,7 @@ def test_exact_matches_quad_vec_per_eigenvalue(g, text, horizon, seed):
     times = np.array([0.0, horizon / 3, horizon])
     traj = exact_solution(problem, times)
     lam = problem.generator.clamped_eigenvalues()
-    basis = problem.generator.basis
+    basis = problem.generator.factorization.vectors
     schedule = problem.schedule
     integrals = [np.zeros_like(lam)]
     for t0, t1 in zip(times[:-1], times[1:]):
@@ -124,7 +123,7 @@ def test_exact_agrees_with_bdf_and_rk45(g, text, horizon, seed):
     problem = _problem(g, text, horizon, seed)
     samples = 8
     exact = exact_solution(problem, np.linspace(0.0, horizon, samples)).states
-    for integrate, method in ((integrate_bdf, "bdf"), (integrate_rk45, "rk45")):
-        states = integrate(problem, IntegratorConfig(
+    for method in ("bdf", "rk45"):
+        states = simulate(problem, IntegratorConfig(
             method=method, rtol=1e-9, atol=1e-9, samples=samples)).states
         assert np.abs(states - exact).max() <= 1e-6, method

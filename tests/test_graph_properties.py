@@ -89,7 +89,7 @@ def test_kpath_generator_matrix_is_the_transformed_laplacian(g):
     for alpha in ALPHAS:
         matrix = gen.matrix(alpha)
         assert np.array_equal(matrix, transformed_k_path_laplacian(g, alpha))
-        layers = sum((float(k) ** (-alpha) * k_path_laplacian(g, k, distances)
+        layers = sum((float(k) ** (-alpha) * k_path_laplacian(g, k)
                       for k in range(1, distances.diameter + 1)),
                      np.zeros((g.n, g.n)))
         assert np.abs(matrix - layers).max() <= 1e-12 * g.n

@@ -1,17 +1,16 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from conftest import cycle_graph, ring_with_chords
 from fraclap import (
+    EigenFactorization,
     Graph,
     NumericError,
-    SpectralDecomposition,
-    apply_spectral_function,
     combinatorial_laplacian,
     directed_laplacians,
     fractional_power_general,
     fractional_power_sym,
-    matrix_exponential,
     sym_eig,
     triangular_factorization,
 )
@@ -43,13 +42,15 @@ def exp_series(a: np.ndarray, terms: int = 40) -> np.ndarray:
 def test_sym_eig_c4(c4):
     d = sym_eig(combinatorial_laplacian(c4))
     assert np.abs(d.eigenvalues - [0.0, 2.0, 2.0, 4.0]).max() <= 1e-10
-    assert np.abs(d.basis.T @ d.basis - np.eye(4)).max() <= 1e-12
+    assert np.abs(d.vectors.T @ d.vectors - np.eye(4)).max() <= 1e-12
+    # The inverse of an orthogonal V is its transpose, shared, not copied.
+    assert d.inverse.base is d.vectors and d.condition == 1.0
 
 
 def test_sym_eig_diagonal_sorts_and_permutes():
     d = sym_eig(np.diag([3.0, 1.0, 2.0]))
     assert np.array_equal(d.eigenvalues, [1.0, 2.0, 3.0])
-    assert np.array_equal(np.abs(d.basis), np.eye(3)[:, [1, 2, 0]])
+    assert np.array_equal(np.abs(d.vectors), np.eye(3)[:, [1, 2, 0]])
 
 
 def test_sym_eig_reconstruction_and_residual(karate):
@@ -57,10 +58,10 @@ def test_sym_eig_reconstruction_and_residual(karate):
     d = sym_eig(lap)
     assert abs(d.eigenvalues[0]) <= 1e-10
     assert d.eigenvalues[1] > 0
-    recon = (d.basis * d.eigenvalues) @ d.basis.T
+    recon = (d.vectors * d.eigenvalues) @ d.inverse
     assert np.abs(recon - lap).max() <= 1e-10 * np.abs(lap).max()
     for i in (0, 1, 17, 33):
-        residual = lap @ d.basis[:, i] - d.eigenvalues[i] * d.basis[:, i]
+        residual = lap @ d.vectors[:, i] - d.eigenvalues[i] * d.vectors[:, i]
         assert np.abs(residual).max() <= 1e-10 * max(1.0, abs(d.eigenvalues[i]))
 
 
@@ -100,15 +101,15 @@ def test_fractional_power_rejects_bad_alpha(c4, alpha):
 
 
 def test_fractional_power_clamps_tiny_eigenvalues():
-    d = SpectralDecomposition(eigenvalues=np.array([-5e-11, 1e-15, 1.0]),
-                              basis=np.eye(3))
+    d = EigenFactorization(eigenvalues=np.array([-5e-11, 1e-15, 1.0]),
+                           vectors=np.eye(3), inverse=np.eye(3), condition=1.0)
     power = fractional_power_sym(d, 0.25)
     assert power[0, 0] == 0.0 and power[1, 1] == 0.0 and power[2, 2] == 1.0
 
 
 def test_fractional_power_rejects_negative_spectrum():
-    d = SpectralDecomposition(eigenvalues=np.array([-0.5, 1.0]),
-                              basis=np.eye(2))
+    d = EigenFactorization(eigenvalues=np.array([-0.5, 1.0]),
+                           vectors=np.eye(2), inverse=np.eye(2), condition=1.0)
     with pytest.raises(ValueError, match="negative eigenvalue"):
         fractional_power_sym(d, 0.5)
 
@@ -214,21 +215,21 @@ def test_general_power_wide_cluster_six_cycle(alpha):
 
 
 # ---------------------------------------------------------------------------
-# matrix_exponential
+# scipy.linalg.expm, the reference of the dynamics tests
 # ---------------------------------------------------------------------------
 
 def test_expm_zero_matrix():
-    assert np.array_equal(matrix_exponential(np.zeros((3, 3))), np.eye(3))
+    assert np.array_equal(scipy.linalg.expm(np.zeros((3, 3))), np.eye(3))
 
 
 def test_expm_diagonal():
-    result = matrix_exponential(np.diag([1.0, -2.0]))
+    result = scipy.linalg.expm(np.diag([1.0, -2.0]))
     assert np.abs(result - np.diag([np.e, np.exp(-2.0)])).max() <= 1e-14
 
 
 def test_expm_c4_semigroup_is_stochastic(c4):
     lap = combinatorial_laplacian(c4)
-    result = matrix_exponential(-lap)
+    result = scipy.linalg.expm(-lap)
     series = exp_series(-lap, terms=30)
     assert np.abs(result - series).max() <= 1e-12
     assert np.abs(result.sum(axis=1) - 1.0).max() <= 1e-12
@@ -240,48 +241,10 @@ def test_expm_matches_series_at_norm_ten(seed):
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((8, 8))
     a *= 10.0 / np.abs(a).sum(axis=0).max()
-    result = matrix_exponential(a)
+    result = scipy.linalg.expm(a)
     series = exp_series(a, terms=80)
     rel = np.abs(result - series).max() / np.abs(series).max()
     assert rel <= 1e-10
-
-
-def test_expm_overflow_error():
-    with pytest.raises(NumericError, match="too large"):
-        matrix_exponential(np.diag([1e30, 1.0]))
-
-
-# ---------------------------------------------------------------------------
-# apply_spectral_function
-# ---------------------------------------------------------------------------
-
-def test_apply_identity_reconstructs(c4):
-    lap = combinatorial_laplacian(c4)
-    d = sym_eig(lap)
-    assert np.abs(apply_spectral_function(d, lambda x: x) - lap).max() <= 1e-10
-
-
-def test_apply_exponential_cross_check(c4):
-    lap = combinatorial_laplacian(c4)
-    d = sym_eig(lap)
-    for t in (0.5, 2.0):
-        via_spectral = apply_spectral_function(d, lambda lam: np.exp(-t * lam))
-        via_pade = matrix_exponential(-t * lap)
-        assert np.abs(via_spectral - via_pade).max() <= 1e-9
-
-
-def test_apply_power_matches_fractional(c4):
-    d = sym_eig(combinatorial_laplacian(c4))
-    lam = d.clamped_eigenvalues()
-    via_apply = apply_spectral_function(
-        SpectralDecomposition(lam, d.basis), lambda x: x ** 0.5)
-    assert np.abs(via_apply - fractional_power_sym(d, 0.5)).max() <= 1e-12
-
-
-def test_apply_nonfinite_names_eigenvalue(c4):
-    d = sym_eig(combinatorial_laplacian(c4))
-    with pytest.raises(ValueError, match="index 0"):
-        apply_spectral_function(d, lambda lam: np.inf if lam < 1 else lam)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from fraclap import (
     SineSchedule,
     SplineSchedule,
     TriangularSchedule,
-    evaluate_schedule,
     parse_schedule,
     render_schedule,
 )
@@ -25,7 +24,7 @@ from fraclap.schedules import ALPHA_MIN, ClampCountingSchedule
 def test_constant_everywhere():
     s = ConstantSchedule(0.75)
     for t in (0.0, 1.0, 17.3):
-        assert evaluate_schedule(s, t) == 0.75
+        assert s(t) == 0.75
 
 
 def test_sine_value_at_zero_is_base():
@@ -87,11 +86,6 @@ def test_schedule_output_always_in_range():
     for s in schedules:
         vals = np.array([s(t) for t in ts])
         assert vals.min() >= ALPHA_MIN and vals.max() <= 1.0
-
-
-def test_negative_time_rejected():
-    with pytest.raises(ValueError):
-        evaluate_schedule(ConstantSchedule(0.5), -0.1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.integrate import quad
 
 from conftest import directed_ring_with_chords
@@ -7,7 +8,9 @@ from fraclap import (
     ConstantSchedule,
     DynamicsProblem,
     ExpSaturatingSchedule,
+    GeneralGenerator,
     Graph,
+    KPathGenerator,
     SineSchedule,
     SpectralGenerator,
     SplineSchedule,
@@ -18,7 +21,6 @@ from fraclap import (
     exact_solution,
     floquet_exponents,
     fractional_power_general,
-    matrix_exponential,
     random_initial_state,
     steady_state,
     sym_eig,
@@ -87,12 +89,12 @@ def test_commutator_residual_karate_spline(karate):
 # ---------------------------------------------------------------------------
 
 def test_floquet_c4_sine_against_scalar_quadrature(c4):
-    d = sym_eig(combinatorial_laplacian(c4))
-    exponents = floquet_exponents(d, SINE, 0.5)
+    gen = SpectralGenerator.from_matrix(combinatorial_laplacian(c4))
+    exponents = floquet_exponents(gen, SINE, 0.5)
     assert np.abs(np.asarray(exponents).imag).max() == 0.0
     assert abs(exponents[0]) <= 1e-12  # conserved direction
     assert exponents[1].real < 0
-    lam = d.clamped_eigenvalues()
+    lam = gen.clamped_eigenvalues()
     reference = sorted(
         (-quad(lambda tau: l ** SINE(tau), 0.0, 0.5, epsabs=1e-13)[0] / 0.5
          if l > 0 else 0.0 for l in lam), reverse=True)
@@ -100,41 +102,42 @@ def test_floquet_c4_sine_against_scalar_quadrature(c4):
 
 
 def test_floquet_constant_schedule_gives_powers(c4):
-    d = sym_eig(combinatorial_laplacian(c4))
-    exponents = floquet_exponents(d, ConstantSchedule(0.5), 1.0)
-    expected = sorted(-d.clamped_eigenvalues() ** 0.5, reverse=True)
+    gen = SpectralGenerator.from_matrix(combinatorial_laplacian(c4))
+    exponents = floquet_exponents(gen, ConstantSchedule(0.5), 1.0)
+    expected = sorted(-gen.clamped_eigenvalues() ** 0.5, reverse=True)
     assert np.abs(np.asarray(exponents).real - expected).max() <= 1e-10
 
 
 def test_floquet_multiplier_consistency(karate):
-    d = sym_eig(combinatorial_laplacian(karate))
+    gen = SpectralGenerator.from_matrix(combinatorial_laplacian(karate))
     period = 0.5
-    exponents = np.asarray(floquet_exponents(d, SINE, period))
+    exponents = np.asarray(floquet_exponents(gen, SINE, period))
     multipliers = np.exp(period * exponents)
     assert abs(multipliers[0] - 1.0) <= 1e-8
     assert np.abs(multipliers[1:]).max() < 1.0
 
 
 def test_floquet_rejects_aperiodic_schedule(c4):
-    d = sym_eig(combinatorial_laplacian(c4))
+    gen = SpectralGenerator.from_matrix(combinatorial_laplacian(c4))
     with pytest.raises(ValueError, match="periodic"):
-        floquet_exponents(d, ExpSaturatingSchedule(10.0), 0.5)
+        floquet_exponents(gen, ExpSaturatingSchedule(10.0), 0.5)
     with pytest.raises(ValueError, match="period"):
-        floquet_exponents(d, SINE, -1.0)
+        floquet_exponents(gen, SINE, -1.0)
 
 
-def test_floquet_general_matrix_matches_spectral(c4):
-    # Symmetric matrix given as a plain array routes through sym_eig.
+def test_floquet_rejects_raw_matrices_and_other_generators(c4):
     lap = combinatorial_laplacian(c4)
-    a = floquet_exponents(lap, SINE, 0.5)
-    b = floquet_exponents(sym_eig(lap), SINE, 0.5)
-    assert np.abs(np.asarray(a) - np.asarray(b)).max() <= 1e-12
+    for source in (lap, sym_eig(lap), KPathGenerator.from_graph(c4)):
+        with pytest.raises(ValueError, match="SpectralGenerator or a "
+                                             "GeneralGenerator"):
+            floquet_exponents(source, SINE, 0.5)
 
 
 def test_floquet_directed_monodromy():
     g = directed_ring_with_chords(4, [(0, 2, 0.5)])
     l_out, _ = directed_laplacians(g)
-    exponents = np.asarray(floquet_exponents(l_out, SINE, 0.5))
+    gen = GeneralGenerator.from_matrix(l_out)
+    exponents = np.asarray(floquet_exponents(gen, SINE, 0.5))
     # conservation direction: one exponent at zero, the rest decaying
     assert abs(exponents[0].real) <= 1e-8
     assert exponents[1:].real.max() < -1e-3
@@ -146,8 +149,9 @@ def test_floquet_imaginary_parts_on_the_principal_branch():
     g = Graph(3, ((0, 1, 10.0), (1, 2, 10.0), (2, 0, 10.0)), directed=True)
     l_out, _ = directed_laplacians(g)
     period = 0.5
-    exponents = floquet_exponents(l_out, ConstantSchedule(1.0), period)
-    monodromy = matrix_exponential(-period * l_out)
+    exponents = floquet_exponents(GeneralGenerator.from_matrix(l_out),
+                                  ConstantSchedule(1.0), period)
+    monodromy = scipy.linalg.expm(-period * l_out)
     reference = np.log(np.linalg.eigvals(monodromy).astype(complex)) / period
     assert np.all(np.abs(exponents.imag) <= np.pi / period)
     assert np.abs(np.sort_complex(exponents) - np.sort_complex(reference)).max() \
