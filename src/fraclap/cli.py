@@ -267,8 +267,6 @@ def cmd_power(args) -> int:
         raise ConfigError("power applies to fractional kinds; use the kpath command")
     alpha = _constant_exponent(args.alpha)
     powered = _generator_for(g, args).matrix(alpha)
-    if np.iscomplexobj(powered):
-        raise NumericError("fractional power has a non-negligible imaginary part")
     trajio.write_matrix(powered, _require_out(args), args.out_format)
     return EXIT_OK
 

@@ -39,7 +39,7 @@ from .matfun import (
     EigenFactorization,
     TriangularFactorization,
     _principal_power,
-    _real_if_negligible,
+    _real_part,
     eigen_factorization,
     fractional_power_sym,
     power_from_factorization,
@@ -380,9 +380,7 @@ class _DenseSystem(_System):
         import scipy.linalg
 
         m = self.matrix(alpha)
-        shifted = np.eye(self.n, dtype=np.result_type(float, m.dtype,
-                                                      type(self.factor))) \
-            + c * self.factor * m
+        shifted = np.eye(self.n) + c * self.factor * m
         # The factorizations check their input; a non-finite b surfaces as a
         # non-finite bdf step, so the solves skip scipy's O(n^2) check.
         if self.symmetric and not np.iscomplexobj(shifted):
@@ -405,10 +403,7 @@ def _sample_grid(problem, config):
     return np.linspace(0.0, problem.horizon, config.samples)
 
 
-def _finish(problem, samples, states, stats, clamps):
-    if problem.model == "heat" and np.iscomplexobj(states) \
-            and np.abs(states.imag).max() <= 1e-12:
-        states = states.real.copy()
+def _finish(samples, states, stats, clamps):
     stats.clamp_count = clamps
     return Trajectory(times=samples, states=states, stats=stats)
 
@@ -436,10 +431,10 @@ def _integrate(problem, config):
                                    stats=stats)
     except StiffnessError as exc:
         partial_times, partial_coords, _ = exc.partial
-        partial = _finish(problem, partial_times, system.exit(partial_coords),
-                          stats, counting.clamps)
+        partial = _finish(partial_times, system.exit(partial_coords), stats,
+                          counting.clamps)
         raise StiffnessError(str(exc), partial=partial) from None
-    return _finish(problem, samples, system.exit(coords), stats, counting.clamps)
+    return _finish(samples, system.exit(coords), stats, counting.clamps)
 
 
 def _exponent_integrals(lam, schedule, times, stats=None):
@@ -512,8 +507,9 @@ def exact_solution(problem: DynamicsProblem, sample_times=None) -> Trajectory:
     ((p0 V) * exp(-I)) @ W (exp(-iI) for the Schrodinger model), where W is
     V^T for a symmetric generator and V^-1 for an eigenvalue-route
     non-symmetric one; Schur-route and hop-coupling generators are rejected.
-    A heat state keeps its real part, after a check that the imaginary
-    residue is rounding noise.  stats.quadrature_panels counts the panels
+    A heat state keeps its real part; an imaginary residue past the
+    rounding bound of fractional powers (matfun._real_part) raises
+    NumericError.  stats.quadrature_panels counts the panels
     evaluated and stats.clamp_count the clamped Gauss nodes.
     """
     lam, vectors, inverse = _closed_form_factors(problem.generator)
@@ -527,13 +523,9 @@ def exact_solution(problem: DynamicsProblem, sample_times=None) -> Trajectory:
     phase = -integrals if problem.model == "heat" else -1j * integrals
     coords0 = problem.initial_state @ vectors
     states = _real_product(coords0 * np.exp(phase), inverse)
-    if problem.model == "heat" and np.iscomplexobj(states):
-        states = _real_if_negligible(states)
-        if np.iscomplexobj(states):
-            raise NumericError(
-                "closed-form heat states have an imaginary part up to "
-                f"{np.abs(states.imag).max():.3e}")
-    return _finish(problem, samples, states, stats, counting.clamps)
+    if problem.model == "heat":
+        states = _real_part(states, "closed-form heat states")
+    return _finish(samples, states, stats, counting.clamps)
 
 
 def simulate(problem: DynamicsProblem, config: IntegratorConfig) -> Trajectory:

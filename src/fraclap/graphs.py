@@ -111,7 +111,8 @@ def load_graph(path, fmt: str | None = None, directed: bool = False) -> Graph:
     """Load a graph from an edge-list or Matrix Market file.
 
     Indices in files are 1-based and converted to 0-based.  Missing weights
-    default to 1.0.  Duplicate edges and self-loops are rejected.
+    default to 1.0.  An entry with an index outside 1..n, a self-loop, a
+    weight that is not positive (NaN too) or a duplicate pair is rejected.
 
     Args:
         path: file location.
@@ -120,7 +121,8 @@ def load_graph(path, fmt: str | None = None, directed: bool = False) -> Graph:
             from the header ("symmetric" -> undirected, "general" -> directed).
 
     Raises:
-        GraphParseError: malformed content, with the offending line number.
+        GraphParseError: malformed content, the message led by path:line
+            and .line the offending line.
     """
     path = Path(path)
     if fmt is None:
@@ -137,8 +139,7 @@ def load_graph(path, fmt: str | None = None, directed: bool = False) -> Graph:
 
 
 def _parse_edge_list(text: str, path: str, directed: bool) -> Graph:
-    edges = []
-    max_index = 0
+    entries = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith(("%", "#")):
@@ -147,21 +148,10 @@ def _parse_edge_list(text: str, path: str, directed: bool) -> Graph:
         if len(parts) not in (2, 3):
             raise GraphParseError(
                 f"expected 'src dst [weight]', got {line!r}", path, lineno)
-        try:
-            u, v = int(parts[0]), int(parts[1])
-            w = float(parts[2]) if len(parts) == 3 else 1.0
-        except ValueError as exc:
-            raise GraphParseError(str(exc), path, lineno) from exc
-        if u < 1 or v < 1:
-            raise GraphParseError("indices are 1-based and must be >= 1",
-                                  path, lineno)
-        if u == v:
-            raise GraphParseError(f"self-loop at node {u}", path, lineno)
-        edges.append((u - 1, v - 1, w, lineno))
-        max_index = max(max_index, u, v)
-    if not edges:
+        entries.append((lineno, parts))
+    if not entries:
         raise GraphParseError("no edges found", path)
-    return _build_checked(max_index, edges, directed, path)
+    return _read_entries(entries, None, directed, path)
 
 
 def _parse_matrix_market(text: str, path: str) -> Graph:
@@ -180,7 +170,7 @@ def _parse_matrix_market(text: str, path: str) -> Graph:
 
     size_seen = False
     n = nnz = 0
-    edges = []
+    entries = []
     for lineno, raw in enumerate(lines[1:], start=2):
         line = raw.strip()
         if not line or line.startswith("%"):
@@ -201,35 +191,49 @@ def _parse_matrix_market(text: str, path: str) -> Graph:
         if len(parts) != expected:
             raise GraphParseError(
                 f"expected {expected} fields per entry", path, lineno)
-        try:
-            u, v = int(parts[0]), int(parts[1])
-            w = float(parts[2]) if not pattern else 1.0
-        except ValueError as exc:
-            raise GraphParseError(str(exc), path, lineno) from exc
-        if u == v:
-            raise GraphParseError(f"self-loop at node {u}", path, lineno)
-        edges.append((u - 1, v - 1, w, lineno))
+        entries.append((lineno, parts))
     if not size_seen:
         raise GraphParseError("missing size line", path)
-    if len(edges) != nnz:
+    if len(entries) != nnz:
         raise GraphParseError(
-            f"header promises {nnz} entries, found {len(edges)}", path)
-    return _build_checked(n, edges, directed=not symmetric, path=path)
+            f"header promises {nnz} entries, found {len(entries)}", path)
+    return _read_entries(entries, n, not symmetric, path)
 
 
-def _build_checked(n, tagged_edges, directed, path):
-    """Assemble a Graph, mapping duplicate-edge errors to parse errors."""
+def _read_entries(entries, n, directed, path):
+    """Graph from (line number, ['src', 'dst', optional 'weight']) entries.
+
+    Indices are 1-based; n is the file's node count, or None for the largest
+    index.  A malformed entry raises GraphParseError naming its line.
+    """
+    limit = float("inf") if n is None else n
     seen = {}
-    clean = []
-    for u, v, w, lineno in tagged_edges:
-        key = (u, v) if directed else (min(u, v), max(u, v))
+    edges = []
+    for lineno, parts in entries:
+        try:
+            u, v = int(parts[0]), int(parts[1])
+            w = float(parts[2]) if len(parts) == 3 else 1.0
+        except ValueError as exc:
+            raise GraphParseError(str(exc), path, lineno) from exc
+        if not (0 < u <= limit and 0 < v <= limit):
+            raise GraphParseError(
+                f"edge ({u}, {v}) has an index outside "
+                f"1..{'n' if n is None else n}", path, lineno)
+        if u == v:
+            raise GraphParseError(f"self-loop at node {u}", path, lineno)
+        if not w > 0:
+            raise GraphParseError(
+                f"edge ({u}, {v}) has nonpositive weight {w}", path, lineno)
+        key = (u, v) if directed or u < v else (v, u)
         if key in seen:
             raise GraphParseError(
-                f"duplicate edge ({u + 1}, {v + 1}) first seen on line "
-                f"{seen[key]}", path, lineno)
+                f"duplicate edge ({u}, {v}) first seen on line {seen[key]}",
+                path, lineno)
         seen[key] = lineno
-        clean.append((u, v, w))
-    return Graph(n=n, edges=tuple(clean), directed=directed)
+        edges.append((u - 1, v - 1, w))
+    if n is None:
+        n = max(map(max, seen))
+    return Graph(n=n, edges=tuple(edges), directed=directed)
 
 
 # ---------------------------------------------------------------------------

@@ -310,12 +310,13 @@ def _triangular_power(t: np.ndarray, starts: tuple[int, ...],
 
 def power_from_factorization(fac: TriangularFactorization | EigenFactorization,
                              alpha: float) -> np.ndarray:
-    """Fractional power rebuilt from a precomputed factorization.
+    """Fractional power rebuilt from a precomputed factorization, as float64.
 
     An EigenFactorization gives (V diag(lambda^alpha)) W, one product; a
     TriangularFactorization gives Q f(T) Q* by the block-column recurrence.
-    Either way the result is real when its imaginary part is at most 1e-8
-    times its largest real entry (or 1e-8 when that is below one).
+    The power of a real matrix with no eigenvalue on the negative real axis,
+    such as any Laplacian here, is real (Higham, Functions of Matrices, Thm
+    1.18), so an imaginary part past rounding (_real_part) is NumericError.
     """
     alpha = _check_alpha(alpha)
     if isinstance(fac, EigenFactorization):
@@ -324,15 +325,18 @@ def power_from_factorization(fac: TriangularFactorization | EigenFactorization,
     else:
         ft = _triangular_power(fac.triangular, fac.starts, alpha)
         out = fac.unitary @ ft @ fac.unitary.conj().T
-    return _real_if_negligible(out)
+    return _real_part(out, f"fractional power at alpha={alpha:g}")
 
 
-def _real_if_negligible(out: np.ndarray) -> np.ndarray:
-    """The real part of out if its imaginary part is rounding noise, else out."""
-    scale = max(1.0, np.abs(out.real).max())
-    if np.abs(out.imag).max() <= 1e-8 * scale:
-        return out.real.copy()
-    return out
+def _real_part(values: np.ndarray, what: str) -> np.ndarray:
+    """Real part of values, or NumericError naming what when the imaginary
+    part exceeds 1e-8 times the largest real entry (1e-8 when that is < 1)."""
+    if not np.iscomplexobj(values):
+        return values
+    residue = np.abs(values.imag).max()
+    if not residue <= 1e-8 * max(1.0, np.abs(values.real).max()):
+        raise NumericError(f"{what} has an imaginary part up to {residue:.3e}")
+    return values.real.copy()
 
 
 def fractional_power_general(m: np.ndarray, alpha: float) -> np.ndarray:
@@ -340,7 +344,7 @@ def fractional_power_general(m: np.ndarray, alpha: float) -> np.ndarray:
 
     The eigenvalues must lie in the closed right half-plane with a semisimple
     zero, which holds for the out-degree Laplacian of a strongly connected
-    graph.  Returns a real array when the imaginary residue is negligible,
-    otherwise the complex result.
+    graph.  Returns a float64 array, or raises NumericError when the
+    imaginary residue exceeds rounding (see power_from_factorization).
     """
     return power_from_factorization(triangular_factorization(m), alpha)

@@ -454,6 +454,25 @@ def test_exit_code_numeric_failure(tmp_path):
     assert not (tmp_path / "x.csv").exists()
 
 
+def test_exit_code_imaginary_power(tmp_path, capsys):
+    # A directed 30-ring whose closing arc weighs 1e-10 (kappa(V) ~ 6.5e9):
+    # the power at alpha=0.5 has an imaginary residue past rounding.
+    weak = tmp_path / "weak.edges"
+    weak.write_text("".join(f"{i} {i + 1}\n" for i in range(1, 30))
+                    + "30 1 1e-10\n")
+    out = str(tmp_path / "x.csv")
+    common = ["--graph", str(weak), "--directed", "--laplacian", "out",
+              "--out", out]
+    message = "fractional power at alpha=0.5 has an imaginary part"
+    for integrator in ("rk45", "bdf"):
+        assert main(["simulate", "--integrator", integrator, "--t-end", "1",
+                     *common]) == 3
+        assert message in capsys.readouterr().err
+    assert main(["power", "--alpha", "0.5", *common]) == 3
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_exit_code_io_failure(c4_path, tmp_path):
     out = str(tmp_path / "no" / "such" / "dir" / "x.csv")
     rc = main(["simulate", "--graph", c4_path, "--t-end", "1", "--out", out])

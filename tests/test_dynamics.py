@@ -23,6 +23,7 @@ from fraclap import (
     GeneralGenerator,
     IntegratorConfig,
     KPathGenerator,
+    NumericError,
     SawtoothSchedule,
     SineSchedule,
     SpectralGenerator,
@@ -352,6 +353,22 @@ def test_exact_rejects_general_generator():
                               SINE, np.full(8, 0.125), 1.0)
     with pytest.raises(ValueError, match="symmetric"):
         exact_solution(problem)
+
+
+@pytest.mark.parametrize("schedule", [ConstantSchedule(0.5),
+                                      ExpSaturatingSchedule(2.0)],
+                         ids=["const", "expsat"])
+@pytest.mark.parametrize("method", ["rk45", "bdf"])
+@pytest.mark.parametrize("model", ["heat", "schrodinger"])
+def test_power_with_imaginary_residue_fails_the_run(model, method, schedule):
+    # The weak 30-ring (kappa(V) ~ 6.5e9) has powers whose imaginary part
+    # exceeds the rounding bound at most exponents; no step may drop it.
+    gen = GeneralGenerator.from_matrix(directed_laplacians(weak_ring(30))[0])
+    problem = DynamicsProblem(model, gen, schedule,
+                              random_initial_state(model, 30, seed=2), 1.0)
+    with pytest.raises(NumericError,
+                       match=r"fractional power at alpha=\S+ has an imaginary"):
+        simulate(problem, IntegratorConfig(method=method))
 
 
 def _digraph30():

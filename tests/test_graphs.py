@@ -81,12 +81,28 @@ def test_load_edge_list_self_loop_rejected(tmp_path):
     assert err.value.line == 2
 
 
-def test_load_edge_list_malformed_line_number(tmp_path):
-    path = tmp_path / "bad.edges"
-    path.write_text("1 2\nnot an edge at all\n")
+MTX_HEADER = "%%MatrixMarket matrix coordinate real general\n3 3 2\n1 2 1.0\n"
+
+
+MALFORMED_ENTRIES = [
+    ("text.edges", "1 2\nnot an edge at all\n", 2),
+    ("zero_index.mtx", MTX_HEADER + "0 1 1.0\n", 4),
+    ("index_above_n.mtx", MTX_HEADER + "2 7 1.0\n", 4),
+    ("negative_weight.mtx", MTX_HEADER + "2 3 -1.0\n", 4),
+    ("zero_weight.edges", "1 2\n% comment\n1 3 0\n", 3),
+    ("nan_weight.edges", "1 2 nan\n", 1),
+]
+
+
+@pytest.mark.parametrize("name, text, line", MALFORMED_ENTRIES,
+                         ids=[case[0] for case in MALFORMED_ENTRIES])
+def test_load_malformed_entry_names_path_and_line(tmp_path, name, text, line):
+    path = tmp_path / name
+    path.write_text(text)
     with pytest.raises(GraphParseError) as err:
         load_graph(path)
-    assert err.value.line == 2
+    assert err.value.line == line
+    assert str(err.value).startswith(f"{path}:{line}: ")
 
 
 def test_load_edge_list_duplicate_rejected(tmp_path):
