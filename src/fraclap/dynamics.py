@@ -21,12 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConvergenceError,
-    NumericError,
-    QuadratureError,
-    StiffnessError,
-)
+from .errors import ConvergenceError, QuadratureError, StiffnessError
 from .graphs import Graph, _hop_coupling, _k_path_distances
 from .integrators import (
     StaleSolver,
@@ -36,15 +31,15 @@ from .integrators import (
     rk45_integrate,
 )
 from .matfun import (
+    EIGVEC_CONDITION_LIMIT,
     EigenFactorization,
     TriangularFactorization,
     _principal_power,
     _real_part,
-    eigen_factorization,
     fractional_power_sym,
+    general_factorization,
     power_from_factorization,
     sym_eig,
-    triangular_factorization,
 )
 from .quadrature import adaptive_simpson
 from .schedules import AlphaSchedule, ClampCountingSchedule
@@ -60,11 +55,6 @@ __all__ = [
     "simulate",
     "random_initial_state",
 ]
-
-# Largest condition number of the eigenvector matrix for which a
-# non-symmetric generator takes the eigenvalue route; rounding in
-# V diag(lambda^alpha) V^-1 grows like eps * kappa(V).
-EIGVEC_CONDITION_LIMIT = 1e4
 
 # Smallest state dimension at which a state-space system hands its last
 # factorization back stale for bdf to iterate with.  Below it a fresh
@@ -120,14 +110,11 @@ class SpectralGenerator:
 
 @dataclass(frozen=True)
 class GeneralGenerator:
-    """L^alpha for a non-symmetric Laplacian, on one of two routes.
+    """L^alpha for a non-symmetric Laplacian, on the route matfun picks.
 
-    One triangular factorization Q T Q* is computed and the eigenvectors of
-    T are read off it.  When kappa(V) <= EIGVEC_CONDITION_LIMIT the
-    generator keeps the diagonalization (route "eigen": each power is one
-    product); otherwise it keeps the triangular factorization (route
-    "schur": the block-column recurrence, which needs neither
-    diagonalizability nor a bound on kappa).  eigvec_condition is kappa(V),
+    matfun.general_factorization keeps the diagonalization (route "eigen":
+    each power is one product) or the triangular factorization (route
+    "schur": the block-column recurrence).  eigvec_condition is kappa(V),
     or inf when V is singular.
     """
 
@@ -139,14 +126,7 @@ class GeneralGenerator:
 
     @classmethod
     def from_matrix(cls, m: np.ndarray) -> "GeneralGenerator":
-        schur = triangular_factorization(m)
-        try:
-            eigen = eigen_factorization(schur)
-        except NumericError:
-            return cls(schur, float("inf"))
-        if eigen.condition <= EIGVEC_CONDITION_LIMIT:
-            return cls(eigen, eigen.condition)
-        return cls(schur, eigen.condition)
+        return cls(*general_factorization(m))
 
     @property
     def route(self) -> str:
@@ -226,8 +206,8 @@ class DynamicsProblem:
     def __post_init__(self):
         if self.model not in ("heat", "schrodinger"):
             raise ValueError(f"model must be 'heat' or 'schrodinger', got {self.model!r}")
-        if not self.horizon > 0:
-            raise ValueError(f"horizon must be positive, got {self.horizon}")
+        if not 0 < self.horizon < np.inf:
+            raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
         state = np.asarray(self.initial_state)
         if state.shape != (self.generator.n,):
             raise ValueError(
@@ -262,10 +242,10 @@ class IntegratorConfig:
     def __post_init__(self):
         if self.method not in ("rk45", "bdf", "exact"):
             raise ValueError(f"unknown method {self.method!r}")
-        if self.rtol < 1e-13:
-            raise ValueError("rtol must be >= 1e-13")
-        if not self.atol > 0:
-            raise ValueError("atol must be positive")
+        if not 1e-13 <= self.rtol < np.inf:
+            raise ValueError(f"rtol must be finite and >= 1e-13, got {self.rtol}")
+        if not 0 < self.atol < np.inf:
+            raise ValueError(f"atol must be positive and finite, got {self.atol}")
         if self.samples < 2:
             raise ValueError("need at least 2 output samples")
 

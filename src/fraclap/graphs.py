@@ -1,6 +1,6 @@
 """Graph ingestion, structural queries, and Laplacian matrix construction.
 
-Graphs are simple (no self-loops, no duplicate edges) with strictly positive
+Graphs are simple (no self-loops, no duplicate edges) with positive, finite
 edge weights.  Matrices are plain dense ``numpy`` arrays: the largest network
 of interest here has ~1000 nodes, so O(n^2) storage is cheap and keeps every
 downstream kernel simple.  scipy loads on first use, for the csgraph
@@ -60,8 +60,9 @@ class Graph:
                 raise ValueError(f"edge ({u}, {v}) out of range for n={self.n}")
             if u == v:
                 raise ValueError(f"self-loop at node {u} is not allowed")
-            if not w > 0:
-                raise ValueError(f"edge ({u}, {v}) has nonpositive weight {w}")
+            if not 0 < w < np.inf:
+                raise ValueError(
+                    f"edge ({u}, {v}) has weight {w}, not positive and finite")
             key = (u, v) if self.directed else (min(u, v), max(u, v))
             if key in seen:
                 raise ValueError(f"duplicate edge ({u}, {v})")
@@ -177,13 +178,15 @@ def _parse_matrix_market(text: str, path: str) -> Graph:
             continue
         parts = line.split()
         if not size_seen:
-            if len(parts) != 3:
-                raise GraphParseError("expected size line 'rows cols nnz'",
-                                      path, lineno)
-            rows, cols, nnz = (int(p) for p in parts)
-            if rows != cols:
-                raise GraphParseError("adjacency matrix must be square",
-                                      path, lineno)
+            try:  # a field count other than 3 fails the unpacking too
+                rows, cols, nnz = (int(p) for p in parts)
+            except ValueError as exc:
+                raise GraphParseError("expected size line 'rows cols nnz' of "
+                                      f"integers, got {line!r}", path,
+                                      lineno) from exc
+            if not 0 < rows == cols:
+                raise GraphParseError("adjacency matrix must be square with "
+                                      "at least one row", path, lineno)
             n = rows
             size_seen = True
             continue
@@ -221,9 +224,10 @@ def _read_entries(entries, n, directed, path):
                 f"1..{'n' if n is None else n}", path, lineno)
         if u == v:
             raise GraphParseError(f"self-loop at node {u}", path, lineno)
-        if not w > 0:
+        if not 0 < w < np.inf:
             raise GraphParseError(
-                f"edge ({u}, {v}) has nonpositive weight {w}", path, lineno)
+                f"edge ({u}, {v}) has weight {w}, not positive and finite",
+                path, lineno)
         key = (u, v) if directed or u < v else (v, u)
         if key in seen:
             raise GraphParseError(

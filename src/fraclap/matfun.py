@@ -2,7 +2,8 @@
 
 Symmetric matrices go through an orthogonal eigendecomposition; general
 (directed-graph) matrices go through a unitary triangular factorization.
-When the eigenvector matrix read off that factorization is well conditioned,
+general_factorization makes the one route decision for a general matrix:
+when the eigenvector matrix read off that factorization is well conditioned,
 powers are V diag(lambda^alpha) V^-1; otherwise a blocked triangular
 recurrence computes f(T), which replaces the Jordan canonical form (not
 computable in floating point).  scipy loads on first use, by the triangular
@@ -25,7 +26,7 @@ __all__ = [
     "fractional_power_general",
     "power_from_factorization",
     "triangular_factorization",
-    "eigen_factorization",
+    "general_factorization",
 ]
 
 # Eigenvalues this close to zero are treated as an exact zero before powering;
@@ -35,6 +36,10 @@ EIGENVALUE_CLAMP = 1e-10
 # Eigenvalues of a triangular factorization linked by steps of at most this
 # distance share one diagonal block of the Schur-Parlett recurrence.
 BLOCKING_DELTA = 0.1
+# Largest condition number of the eigenvector matrix for which a general
+# matrix takes the eigenvalue route; rounding in V diag(lambda^alpha) V^-1
+# grows like eps * kappa(V).
+EIGVEC_CONDITION_LIMIT = 1e4
 
 
 def _clamped(values: np.ndarray) -> np.ndarray:
@@ -205,24 +210,31 @@ def _reorder_clusters(t: np.ndarray, q: np.ndarray, labels: np.ndarray):
     return t, q, tuple(starts)
 
 
-def eigen_factorization(fac: TriangularFactorization) -> EigenFactorization:
-    """Diagonalization read off a triangular factorization Q T Q*.
+def general_factorization(m: np.ndarray) -> tuple[
+        EigenFactorization | TriangularFactorization, float]:
+    """The factorization powers of a general matrix are read from, and kappa(V).
 
-    The eigenvectors Y of T come from LAPACK's triangular back substitution
-    (numpy.linalg.eig on T, which finds T already triangular), so V = Q Y is
-    what a full eigensolver returns after its own Schur step.  Raises
-    NumericError when V is singular, i.e. the input is not diagonalizable.
+    The eigenvectors Y of the triangular factor T come from LAPACK's
+    triangular back substitution (numpy.linalg.eig on T, which finds T
+    already triangular), so V = Q Y is what a full eigensolver returns after
+    its own Schur step.  When kappa(V), the 2-norm condition number, is at
+    most EIGVEC_CONDITION_LIMIT the diagonalization is returned (each power
+    is one product); otherwise the triangular factorization, whose
+    block-column recurrence needs neither diagonalizability nor a bound on
+    kappa.  A singular V (the input is not diagonalizable) gives kappa = inf.
     """
-    lam, y = np.linalg.eig(fac.triangular)
-    vectors = fac.unitary @ y
+    schur = triangular_factorization(m)
+    lam, y = np.linalg.eig(schur.triangular)
+    vectors = schur.unitary @ y
     try:
         inverse = np.linalg.inv(vectors)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError("eigenvector matrix is singular: the input is "
-                           "not diagonalizable") from exc
+    except np.linalg.LinAlgError:
+        return schur, float("inf")
+    condition = float(np.linalg.cond(vectors))
+    if condition > EIGVEC_CONDITION_LIMIT:
+        return schur, condition
     return EigenFactorization(eigenvalues=lam, vectors=vectors,
-                              inverse=inverse,
-                              condition=float(np.linalg.cond(vectors)))
+                              inverse=inverse, condition=condition), condition
 
 
 def _principal_power(lam, alpha):
@@ -344,7 +356,9 @@ def fractional_power_general(m: np.ndarray, alpha: float) -> np.ndarray:
 
     The eigenvalues must lie in the closed right half-plane with a semisimple
     zero, which holds for the out-degree Laplacian of a strongly connected
-    graph.  Returns a float64 array, or raises NumericError when the
-    imaginary residue exceeds rounding (see power_from_factorization).
+    graph.  The route is general_factorization's, so the result equals
+    GeneralGenerator.from_matrix(m).matrix(alpha) bit for bit.  Returns a
+    float64 array, or raises NumericError when the imaginary residue exceeds
+    rounding (see power_from_factorization).
     """
-    return power_from_factorization(triangular_factorization(m), alpha)
+    return power_from_factorization(general_factorization(m)[0], alpha)

@@ -12,15 +12,16 @@ from fraclap import (
     SpectralGenerator,
     combinatorial_laplacian,
     directed_laplacians,
-    fractional_power_general,
     load_graph,
     normalized_laplacians,
     parse_schedule,
     transformed_k_path_laplacian,
+    triangular_factorization,
 )
 from fraclap.cli import _sidecar, main
 from fraclap.dynamics import Trajectory
 from fraclap.integrators import StepStats
+from fraclap.matfun import power_from_factorization
 from fraclap.trajio import read_trajectory
 
 KARATE = str(DATA / "karate.mtx")
@@ -238,7 +239,8 @@ def test_power_command_general_kinds_match_schur(digraph_path, tmp_path):
     for i, (argv, lap) in enumerate(cases):
         out = str(tmp_path / f"P{i}.csv")
         assert main(["power", *argv, "--alpha", "0.5", "--out", out]) == 0
-        reference = fractional_power_general(lap, 0.5)
+        reference = power_from_factorization(triangular_factorization(lap),
+                                             0.5)
         assert np.abs(read_matrix(out) - reference).max() <= 1e-12
 
 
@@ -441,6 +443,15 @@ def test_exit_code_config_errors(c4_path, digraph_path, tmp_path):
                  "--out", out]) == 2
     # nothing was written by any of the rejected runs
     assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--t-end", "inf"), ("--t-end", "nan"), ("--rtol", "inf"),
+    ("--rtol", "nan"), ("--atol", "inf"), ("--atol", "nan")])
+def test_nonfinite_run_setting_exits_two(c4_path, tmp_path, flag, value):
+    assert main(["simulate", "--graph", c4_path, flag, value,
+                 "--out", str(tmp_path / "x.csv")]) == 2
+    assert [p.name for p in tmp_path.iterdir()] == ["c4.edges"]
 
 
 def test_exit_code_numeric_failure(tmp_path):

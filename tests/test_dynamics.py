@@ -465,6 +465,19 @@ def test_generator_routes_and_condition(caplog):
         assert np.abs(power - fractional_power_general(weak, alpha)).max() == 0
 
 
+@pytest.mark.parametrize("name, alpha, route", [
+    ("digraph", 0.5, "eigen"), ("karate_nrw", 0.5, "eigen"),
+    # The weak 30-ring's powers pass the realness bound only at small alpha.
+    ("weak_ring30", 0.05, "schur")])
+def test_library_power_takes_the_generator_route(name, alpha, route):
+    lap = (directed_laplacians(weak_ring(30))[0] if name == "weak_ring30"
+           else _eigen_route_laplacians()[name])
+    gen = GeneralGenerator.from_matrix(lap)
+    assert gen.route == route
+    assert np.array_equal(fractional_power_general(lap, alpha),
+                          gen.matrix(alpha))
+
+
 def test_convergence_to_uniformity(c4, karate):
     # Horizon 20 / lambda_2^{alpha_min} pushes the deviation below 1e-6.
     for g in (c4, karate):

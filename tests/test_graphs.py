@@ -44,6 +44,12 @@ def test_graph_rejects_nonpositive_weight():
         Graph(2, ((0, 1, 0.0),))
 
 
+@pytest.mark.parametrize("weight", [float("inf"), float("nan")])
+def test_graph_rejects_nonfinite_weight(weight):
+    with pytest.raises(ValueError, match="not positive and finite"):
+        Graph(2, ((0, 1, weight),))
+
+
 def test_graph_rejects_out_of_range_index():
     with pytest.raises(ValueError, match="out of range"):
         Graph(2, ((0, 2, 1.0),))
@@ -91,6 +97,12 @@ MALFORMED_ENTRIES = [
     ("negative_weight.mtx", MTX_HEADER + "2 3 -1.0\n", 4),
     ("zero_weight.edges", "1 2\n% comment\n1 3 0\n", 3),
     ("nan_weight.edges", "1 2 nan\n", 1),
+    ("inf_weight.edges", "1 2\n2 3 inf\n", 2),
+    ("inf_weight.mtx", MTX_HEADER + "2 3 inf\n", 4),
+    ("size_not_integer.mtx",
+     "%%MatrixMarket matrix coordinate real general\n% c\n3 3 x\n", 3),
+    ("size_zero.mtx", "%%MatrixMarket matrix coordinate real general\n0 0 0\n",
+     2),
 ]
 
 
