@@ -5,12 +5,16 @@ generator G(t) is either a fractional Laplacian power L^{alpha(t)} or the
 alpha(t)-weighted hop-coupling operator.  For symmetric generators every
 integration runs in the shared eigenbasis, where the system decouples into
 scalar equations q_i' = -lambda_i^{alpha(t)} q_i; entry/exit basis changes
-cost O(n^2) once while each right-hand-side call is O(n).  Non-symmetric
-generators integrate in state space (error control stays on p, where an
-eigenbasis with condition number kappa(V) would amplify it), but a
-diagonalizable one assembles each L^alpha as one product V diag(lambda^alpha)
-V^-1 and has the same closed-form solution as a symmetric one.  scipy
-loads on first use, when a state-space bdf step factorizes.
+cost O(n^2) once while each right-hand-side call is O(n).  A hop-coupling
+operator under a constant exponent a is one fixed symmetric matrix K(a), so
+it takes the same eigenbasis route (and has the same closed form) as the
+generator K(a)^1; under a varying exponent it integrates in state space.
+Non-symmetric generators integrate in state space (error control stays on
+p, where an eigenbasis with condition number kappa(V) would amplify it), but
+a diagonalizable one assembles each L^alpha as one product
+V diag(lambda^alpha) V^-1 and has the same closed-form solution as a
+symmetric one.  scipy loads on first use, when a state-space bdf step
+factorizes.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from .matfun import (
     sym_eig,
 )
 from .quadrature import adaptive_simpson
-from .schedules import AlphaSchedule, ClampCountingSchedule
+from .schedules import AlphaSchedule, ClampCountingSchedule, ConstantSchedule
 
 __all__ = [
     "SpectralGenerator",
@@ -153,10 +157,12 @@ class KPathGenerator:
     """Hop-coupling operator L_1 + sum_k k^{-alpha} L_k with alpha from the schedule.
 
     Symmetric at every instant, but different alphas are not simultaneously
-    diagonalizable, so there is no shared-eigenbasis fast path and no
-    closed-form solution; only direct numerical integration applies.  hops
-    is the integer hop matrix, kept once; each matrix(alpha) gathers its
-    entries from a table of the diameter + 1 hop weights.
+    diagonalizable: under a varying exponent there is no shared-eigenbasis
+    fast path and no closed-form solution, only integration in state space.
+    Under a constant exponent simulate and exact_solution assemble the one
+    matrix once and solve in its eigenbasis.  hops is the integer hop
+    matrix, kept once; each matrix(alpha) gathers its entries from a table
+    of the diameter + 1 hop weights.
     """
 
     hops: np.ndarray
@@ -373,10 +379,31 @@ class _DenseSystem(_System):
                                                check_finite=False)
 
 
-def _make_system(problem, schedule, stats):
-    if isinstance(problem.generator, SpectralGenerator):
-        return _EigenSystem(problem.generator, schedule, problem.factor, stats)
-    return _DenseSystem(problem.generator, schedule, problem.factor, stats)
+def _make_system(generator, schedule, factor, stats):
+    if isinstance(generator, SpectralGenerator):
+        return _EigenSystem(generator, schedule, factor, stats)
+    return _DenseSystem(generator, schedule, factor, stats)
+
+
+def _solved_form(problem):
+    """(generator, schedule, clamp counter) that simulate and exact solve.
+
+    A hop-coupling generator under a constant exponent a is one fixed
+    symmetric matrix K(a): a is read once through the clamp counter, K(a)
+    assembled once and factored by sym_eig, and the problem solved as the
+    fractional generator K(a)^1 in that eigenbasis.  Every other problem is
+    solved as posed, with its schedule counted at each evaluation.
+    """
+    counting = ClampCountingSchedule(problem.schedule)
+    generator = problem.generator
+    if not (isinstance(generator, KPathGenerator)
+            and isinstance(problem.schedule, ConstantSchedule)):
+        return generator, counting, counting
+    alpha = counting(0.0)
+    _log.debug("constant hop-coupling exponent alpha=%r: n=%d solved in "
+               "the eigenbasis of K(alpha)", alpha, generator.n)
+    return (SpectralGenerator.from_matrix(generator.matrix(alpha)),
+            ConstantSchedule(1.0), counting)
 
 
 def _sample_grid(problem, config):
@@ -394,9 +421,9 @@ def _integrate(problem, config):
     A StiffnessError from the core is raised again with the partial
     trajectory, mapped back to state space, attached.
     """
-    counting = ClampCountingSchedule(problem.schedule)
+    generator, schedule, counting = _solved_form(problem)
     stats = StepStats()
-    system = _make_system(problem, counting, stats)
+    system = _make_system(generator, schedule, problem.factor, stats)
     samples = _sample_grid(problem, config)
     y0 = system.enter(problem.initial_state)
     try:
@@ -451,8 +478,9 @@ def _closed_form_factors(generator):
     """(lambda, V, W) with V diag(lambda) W the generator's Laplacian."""
     if isinstance(generator, KPathGenerator):
         raise ValueError(
-            "the closed-form solution needs a fractional Laplacian generator; "
-            "hop-coupling exponents do not share an eigenbasis")
+            "the closed-form solution of a hop-coupling generator needs a "
+            "constant exponent; under a varying one its operators do not "
+            "share an eigenbasis")
     fac = generator.factorization
     if isinstance(fac, TriangularFactorization):
         raise ValueError(
@@ -486,20 +514,23 @@ def exact_solution(problem: DynamicsProblem, sample_times=None) -> Trajectory:
     complex).  Every sample is then formed in one product
     ((p0 V) * exp(-I)) @ W (exp(-iI) for the Schrodinger model), where W is
     V^T for a symmetric generator and V^-1 for an eigenvalue-route
-    non-symmetric one; Schur-route and hop-coupling generators are rejected.
-    A heat state keeps its real part; an imaginary residue past the
-    rounding bound of fractional powers (matfun._real_part) raises
-    NumericError.  stats.quadrature_panels counts the panels
-    evaluated and stats.clamp_count the clamped Gauss nodes.
+    non-symmetric one.  A hop-coupling generator under a constant exponent
+    a is the symmetric generator K(a)^1, so its solution is
+    p0 V exp(-t Lambda) V^T; under a varying exponent it is rejected, as
+    are Schur-route generators.  A heat state keeps its real part; an
+    imaginary residue past the rounding bound of fractional powers
+    (matfun._real_part) raises NumericError.  stats.quadrature_panels counts
+    the panels evaluated and stats.clamp_count the clamped Gauss nodes (for
+    a constant hop-coupling exponent, its one clamped read).
     """
-    lam, vectors, inverse = _closed_form_factors(problem.generator)
-    counting = ClampCountingSchedule(problem.schedule)
+    generator, schedule, counting = _solved_form(problem)
+    lam, vectors, inverse = _closed_form_factors(generator)
     if sample_times is None:
         sample_times = np.linspace(0.0, problem.horizon, 200)
     samples = _check_samples(sample_times, problem.horizon)
 
     stats = StepStats()
-    integrals = _exponent_integrals(lam, counting, samples, stats)
+    integrals = _exponent_integrals(lam, schedule, samples, stats)
     phase = -integrals if problem.model == "heat" else -1j * integrals
     coords0 = problem.initial_state @ vectors
     states = _real_product(coords0 * np.exp(phase), inverse)
@@ -521,7 +552,9 @@ def simulate(problem: DynamicsProblem, config: IntegratorConfig) -> Trajectory:
     most four solves), factorizing afresh only for a step whose iteration
     fails its rate test (counted in stats.iteration_restarts).  Smaller
     state-space systems, and symmetric eigenbasis systems (an O(n)
-    division), factorize afresh.
+    division), factorize afresh.  A hop-coupling generator under a constant
+    exponent a runs, for every method, on the eigenbasis of the one matrix
+    K(a), assembled once; under a varying exponent it runs in state space.
     """
     if config.method == "exact":
         return exact_solution(problem, _sample_grid(problem, config))

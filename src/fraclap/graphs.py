@@ -395,10 +395,13 @@ def _hop_coupling(hops: np.ndarray, diameter: int, alpha: float) -> np.ndarray:
     hops is the integer (np.intp) hop matrix of a connected graph.  Pairs at
     hop distance d > 0 couple with weight -d^{-alpha}, looked up in
     [0, -1^{-alpha}, ..., -diameter^{-alpha}]; the diagonal is minus the row
-    sum, so each row sums to zero.
+    sum, so each row sums to zero.  alpha must be finite and >= 0 (a NaN
+    would fill the matrix with NaNs and inf would drop every layer past L_1).
     """
-    if alpha < 0:
-        raise ValueError("alpha must be >= 0 for the hop-coupling operator")
+    if not 0 <= alpha < np.inf:
+        raise ValueError(
+            "alpha must be finite and >= 0 for the hop-coupling operator, "
+            f"got {alpha}")
     d = np.arange(diameter + 1, dtype=float)
     weights = -np.power(d, -float(alpha), out=np.zeros_like(d), where=d > 0)
     coupling = weights[hops]

@@ -81,8 +81,8 @@ def antiderivative_commutator_residual(d: EigenFactorization,
 
 
 def _check_periodic(schedule, period):
-    if not period > 0:
-        raise ValueError("period must be positive")
+    if not 0 < period < np.inf:
+        raise ValueError(f"period must be positive and finite, got {period}")
     probes = np.linspace(0.0, period, 17)
     for t in probes:
         if abs(schedule(t) - schedule(t + period)) > 1e-8:

@@ -1,4 +1,4 @@
-"""One short traced benchmark run against the library as it stands.
+"""Short traced benchmark runs against the library as it stands.
 
 The benchmark worker and its tracer look fraclap's functions and classes up
 by name, so a renamed or removed name shows up here as a failed job or a
@@ -11,16 +11,21 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_directed_sweep_runs_traced_and_correct(tmp_path):
+# directed-sweep covers the non-symmetric routes; kpath-hops the hop-coupling
+# generator on both of its routes, the constant exponent checked against expm.
+@pytest.mark.parametrize("workload", ["directed-sweep", "kpath-hops"])
+def test_workload_runs_traced_and_correct(tmp_path, workload):
     ignore = shutil.ignore_patterns("out", "__pycache__")
     shutil.copytree(ROOT / "src", tmp_path / "src", ignore=ignore)
     shutil.copytree(ROOT / "benchmarks", tmp_path / "benchmarks", ignore=ignore)
     proc = subprocess.run(
         [sys.executable, str(tmp_path / "benchmarks" / "run.py"),
-         "--workload", "directed-sweep", "--seed", "1", "--seconds", "1",
+         "--workload", workload, "--seed", "1", "--seconds", "1",
          "--trace", "1"],
         capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr

@@ -72,6 +72,13 @@ def test_kpath_command(c4_path, tmp_path):
     assert abs(matrix[0, 2] + 0.5) <= 1e-15
 
 
+@pytest.mark.parametrize("alpha", ["nan", "inf"])
+def test_kpath_command_nonfinite_alpha_exits_two(c4_path, tmp_path, alpha):
+    assert main(["kpath", "--graph", c4_path, "--kpath-alpha", alpha,
+                 "--out", str(tmp_path / "K.csv")]) == 2
+    assert [p.name for p in tmp_path.iterdir()] == ["c4.edges"]
+
+
 def test_spectrum_command(c4_path, tmp_path):
     out = str(tmp_path / "S.csv")
     assert main(["spectrum", "--graph", c4_path, "--out", out]) == 0
@@ -386,6 +393,14 @@ def test_floquet_command_json_reads_back(c4_path, tmp_path):
     rows = open(csv_out).read().strip().split("\n")[1:]
     assert payload["exponents"] == [[float(v) for v in ln.split(",")]
                                     for ln in rows]
+
+
+@pytest.mark.parametrize("period", ["nan", "inf"])
+def test_floquet_nonfinite_period_exits_two(c4_path, tmp_path, period):
+    assert main(["floquet", "--graph", c4_path, "--alpha",
+                 "sin:0.5,0.4,12.566370614359172", "--period", period,
+                 "--out", str(tmp_path / "floq.csv")]) == 2
+    assert [p.name for p in tmp_path.iterdir()] == ["c4.edges"]
 
 
 def test_config_file_with_flag_override(c4_path, tmp_path):

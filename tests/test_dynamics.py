@@ -138,7 +138,8 @@ def test_general_generator_nrw_ring_matches_symmetric(alpha):
 
 def state_rhs(problem):
     """(t, p) -> -p @ G(t) through the system the integrators run on."""
-    system = _make_system(problem, problem.schedule, StepStats())
+    system = _make_system(problem.generator, problem.schedule, problem.factor,
+                          StepStats())
     return lambda t, state: system.exit(system.rhs(t, system.enter(state)))
 
 

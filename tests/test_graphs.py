@@ -382,6 +382,12 @@ def test_transformed_k_path_rejects_negative_alpha(c4):
         transformed_k_path_laplacian(c4, -0.5)
 
 
+@pytest.mark.parametrize("alpha", [np.nan, np.inf])
+def test_transformed_k_path_rejects_nonfinite_alpha(c4, alpha):
+    with pytest.raises(ValueError, match="finite"):
+        transformed_k_path_laplacian(c4, alpha)
+
+
 # ---------------------------------------------------------------------------
 # Structural invariants on random graphs
 # ---------------------------------------------------------------------------

@@ -121,8 +121,9 @@ def test_floquet_rejects_aperiodic_schedule(c4):
     gen = SpectralGenerator.from_matrix(combinatorial_laplacian(c4))
     with pytest.raises(ValueError, match="periodic"):
         floquet_exponents(gen, ExpSaturatingSchedule(10.0), 0.5)
-    with pytest.raises(ValueError, match="period"):
-        floquet_exponents(gen, SINE, -1.0)
+    for period in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="period"):
+            floquet_exponents(gen, SINE, period)
 
 
 def test_floquet_rejects_raw_matrices_and_other_generators(c4):
