@@ -136,8 +136,12 @@ def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
             raise ConfigError(f"config file {args.config}: {exc}") from exc
         if not isinstance(file_values, dict):
             raise ConfigError("config file must hold a JSON object")
+    file_values = {key.replace("-", "_"): value
+                   for key, value in file_values.items()}
+    unknown = sorted(file_values.keys() - _DEFAULTS.keys() - {"graph"})
+    if unknown:
+        raise ConfigError(f"config file {args.config}: unknown keys {unknown}")
     for key, value in file_values.items():
-        key = key.replace("-", "_")
         if getattr(args, key, None) is None:
             setattr(args, key, value)
     for key, value in _DEFAULTS.items():

@@ -118,7 +118,7 @@ class GeneralGenerator:
 
     matfun.general_factorization keeps the diagonalization (route "eigen":
     each power is one product) or the triangular factorization (route
-    "schur": the block-column recurrence).  eigvec_condition is kappa(V),
+    "schur": powers of the triangular factor).  eigvec_condition is kappa(V),
     or inf when V is singular.
     """
 

@@ -4,15 +4,20 @@ Symmetric matrices go through an orthogonal eigendecomposition; general
 (directed-graph) matrices go through a unitary triangular factorization.
 general_factorization makes the one route decision for a general matrix:
 when the eigenvector matrix read off that factorization is well conditioned,
-powers are V diag(lambda^alpha) V^-1; otherwise a blocked triangular
-recurrence computes f(T), which replaces the Jordan canonical form (not
-computable in floating point).  scipy loads on first use, by the triangular
-factorization and its powers, so the symmetric route runs on numpy alone.
+powers are V diag(lambda^alpha) V^-1; otherwise they are read off the
+triangular factor T, which replaces the Jordan canonical form (not
+computable in floating point).  T is ordered with its zero eigenvalues
+first, so the singular part of z^alpha deflates to a zero block and scipy's
+matrix logarithm and exponential (Al-Mohy & Higham, SISC 2012; Higham & Lin,
+SIMAX 2011) evaluate the power on the nonsingular rest.  scipy loads on
+first use, by the triangular factorization and its powers, so the symmetric
+route runs on numpy alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -33,9 +38,6 @@ __all__ = [
 # floating-point eigensolvers perturb the structural zero of a Laplacian and
 # z^alpha amplifies tiny positives badly ((1e-15)^0.25 ~ 5.6e-4).
 EIGENVALUE_CLAMP = 1e-10
-# Eigenvalues of a triangular factorization linked by steps of at most this
-# distance share one diagonal block of the Schur-Parlett recurrence.
-BLOCKING_DELTA = 0.1
 # Largest condition number of the eigenvector matrix for which a general
 # matrix takes the eigenvalue route; rounding in V diag(lambda^alpha) V^-1
 # grows like eps * kappa(V).
@@ -52,14 +54,13 @@ def _clamped(values: np.ndarray) -> np.ndarray:
 class TriangularFactorization:
     """Unitary Q and upper-triangular T with Q T Q* equal to the input.
 
-    The diagonal of T is ordered so that each cluster of eigenvalues closer
-    than BLOCKING_DELTA is contiguous; block i spans rows and columns
-    starts[i]:starts[i + 1].
+    The first `zeros` diagonal entries of T are the eigenvalues within
+    EIGENVALUE_CLAMP of zero, so T = [[Z, B], [0, C]] with C nonsingular.
     """
 
     unitary: np.ndarray
     triangular: np.ndarray
-    starts: tuple[int, ...]
+    zeros: int
 
     @property
     def n(self) -> int:
@@ -67,6 +68,14 @@ class TriangularFactorization:
 
     def clamped_eigenvalues(self) -> np.ndarray:
         return _clamped(np.diag(self.triangular))
+
+    @cached_property
+    def log_nonsingular(self) -> np.ndarray:
+        """Principal logarithm of C, computed once, by the first power."""
+        import scipy.linalg
+
+        k = self.zeros
+        return scipy.linalg.logm(self.triangular[k:, k:])
 
 
 @dataclass(frozen=True)
@@ -149,65 +158,25 @@ def fractional_power_sym(d: EigenFactorization, alpha: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# General (non-symmetric) fractional powers via triangular recurrence
+# General (non-symmetric) fractional powers via a triangular factorization
 # ---------------------------------------------------------------------------
 
 def triangular_factorization(m: np.ndarray) -> TriangularFactorization:
-    """Complex unitary triangular (Schur-type) factorization of a matrix.
+    """Complex unitary triangular (Schur) factorization, zero eigenvalues first.
 
-    The diagonal is clustered with radius BLOCKING_DELTA and reordered so
-    that every cluster is contiguous; both steps are independent of the
-    exponent, so powers of one factorization share them.
+    The ordering is independent of the exponent, so powers of one
+    factorization share it.
     """
     import scipy.linalg
 
     m = _require_square(m)
-    t, q = scipy.linalg.schur(m.astype(complex), output="complex")
-    labels = _cluster_eigenvalues(np.diag(t))
-    t, q, starts = _reorder_clusters(t, q, labels)
-    return TriangularFactorization(unitary=q, triangular=t, starts=starts)
-
-
-def _cluster_eigenvalues(diag: np.ndarray) -> np.ndarray:
-    """Labels of the eigenvalue classes linked by steps of at most BLOCKING_DELTA.
-
-    A zero eigenvalue never joins a nonzero one: z^alpha has no Taylor
-    expansion about a point near 0, while the Sylvester recurrence between a
-    zero block and a nonzero one only divides by their distinct eigenvalues.
-    """
-    import scipy.sparse.csgraph
-
-    zero = np.abs(diag) <= EIGENVALUE_CLAMP
-    linked = (np.abs(diag[:, None] - diag[None, :]) <= BLOCKING_DELTA) \
-        & (zero[:, None] == zero[None, :])
-    _, labels = scipy.sparse.csgraph.connected_components(linked,
-                                                          directed=False)
-    return labels
-
-
-def _reorder_clusters(t: np.ndarray, q: np.ndarray, labels: np.ndarray):
-    """Move equal labels together, clusters in order of first appearance.
-
-    Returns the reordered (t, q) and the block boundaries: block i spans
-    starts[i]:starts[i + 1].
-    """
-    import scipy.linalg
-
-    work = labels.tolist()
-    pos = 0
-    starts = [0]
-    for lab in dict.fromkeys(work):
-        for _ in range(work.count(lab)):
-            src = work.index(lab, pos)
-            if src != pos:
-                # LAPACK positions are 1-based.
-                t, q, info = scipy.linalg.lapack.ztrexc(t, q, src + 1, pos + 1)
-                if info != 0:
-                    raise NumericError(f"eigenvalue reordering failed (info={info})")
-                work.insert(pos, work.pop(src))
-            pos += 1
-        starts.append(pos)
-    return t, q, tuple(starts)
+    try:
+        t, q, zeros = scipy.linalg.schur(
+            m.astype(complex), output="complex",
+            sort=lambda z: abs(z) <= EIGENVALUE_CLAMP)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"triangular factorization failed: {exc}") from exc
+    return TriangularFactorization(unitary=q, triangular=t, zeros=zeros)
 
 
 def general_factorization(m: np.ndarray) -> tuple[
@@ -219,9 +188,9 @@ def general_factorization(m: np.ndarray) -> tuple[
     already triangular), so V = Q Y is what a full eigensolver returns after
     its own Schur step.  When kappa(V), the 2-norm condition number, is at
     most EIGVEC_CONDITION_LIMIT the diagonalization is returned (each power
-    is one product); otherwise the triangular factorization, whose
-    block-column recurrence needs neither diagonalizability nor a bound on
-    kappa.  A singular V (the input is not diagonalizable) gives kappa = inf.
+    is one product); otherwise the triangular factorization, whose powers
+    need neither diagonalizability nor a bound on kappa.  A singular V (the
+    input is not diagonalizable) gives kappa = inf.
     """
     schur = triangular_factorization(m)
     lam, y = np.linalg.eig(schur.triangular)
@@ -247,76 +216,29 @@ def _principal_power(lam, alpha):
     return np.where(zero, 0.0, np.exp(alpha * np.log(np.where(zero, 1.0, lam))))
 
 
-def _power_block(tb: np.ndarray, alpha: float) -> np.ndarray:
-    """z^alpha of a small triangular block with clustered eigenvalues.
+def _triangular_power(fac: TriangularFactorization,
+                      alpha: float) -> np.ndarray:
+    """f(T) for f(z) = z^alpha with 0^alpha := 0, T = [[Z, B], [0, C]].
 
-    A Taylor expansion about the mean eigenvalue serves a cluster whose
-    radius is small relative to its distance from the origin.  A cluster is
-    a chain of eigenvalues less than BLOCKING_DELTA apart, so near the
-    origin it can be too wide for the series to converge; such a block goes
-    to scipy's Schur-Pade fractional power (Higham & Lin, SIMAX 2011), which
-    needs only a nonsingular block but costs several times more.
+    z^alpha has no derivatives at 0, so only a semisimple zero eigenvalue is
+    representable, and then Z = 0.  F = f(T) is [[0, X], [0, f(C)]] with
+    f(C) = expm(alpha log C), and F T = T F gives X C = B f(C) (Higham,
+    Functions of Matrices, ch. 9).
     """
-    diag = np.diag(tb)
-    mu = diag.mean()
-    if np.min(np.abs(diag)) <= EIGENVALUE_CLAMP:
-        # Zero eigenvalue clustered with others: z^alpha has no derivatives
-        # at 0, so only a diagonal (semisimple) block is representable.
-        strict = tb - np.diag(diag)
-        if np.abs(strict).max() <= 1e-12 * max(1.0, np.abs(tb).max()):
-            return np.zeros_like(tb)
+    import scipy.linalg
+
+    t, k = fac.triangular, fac.zeros
+    z = t[:k, :k]
+    if np.abs(np.triu(z, 1)).max(initial=0.0) \
+            > 1e-12 * max(1.0, np.abs(z).max(initial=0.0)):
         raise NumericError(
             "z^alpha is not defined on the spectrum: zero eigenvalue with "
             "nontrivial Jordan structure")
-    m = tb.shape[0]
-    nil = tb - mu * np.eye(m)
-    coeff = _principal_power(mu, alpha)
-    total = coeff * np.eye(m, dtype=complex)
-    term = np.eye(m, dtype=complex)
-    for j in range(1, 2 * m + 60):
-        term = term @ nil
-        coeff = coeff * (alpha - (j - 1)) / (j * mu)
-        update = coeff * term
-        total = total + update
-        if np.abs(update).max() <= 1e-16 * max(1.0, np.abs(total).max()):
-            return total
-        if not np.all(np.isfinite(total)):
-            break
-    import scipy.linalg
-
-    total = scipy.linalg.fractional_matrix_power(tb, alpha)
-    if np.all(np.isfinite(total)):
-        return total
-    raise ConvergenceError(
-        "triangular block evaluation of z^alpha did not converge "
-        f"(cluster around {mu:.6g}, size {m})")
-
-
-def _triangular_power(t: np.ndarray, starts: tuple[int, ...],
-                      alpha: float) -> np.ndarray:
-    """Block-column recurrence for f(T), f(z) = z^alpha, T upper triangular.
-
-    With the leading columns of F = f(T) done, block column J = [lo, hi)
-    solves T[:lo, :lo] X - X T_JJ = F[:lo, :lo] T[:lo, J] - T[:lo, J] F_JJ,
-    which follows from F T = T F (Higham, Functions of Matrices, ch. 9).
-    """
-    import scipy.linalg
-
     f = np.zeros_like(t)
-    for lo, hi in zip(starts[:-1], starts[1:]):
-        t_jj = t[lo:hi, lo:hi]
-        if hi - lo == 1:
-            f[lo, lo] = _principal_power(t[lo, lo], alpha)
-        else:
-            f[lo:hi, lo:hi] = _power_block(t_jj, alpha)
-        if lo == 0:
-            continue
-        rhs = f[:lo, :lo] @ t[:lo, lo:hi] - t[:lo, lo:hi] @ f[lo:hi, lo:hi]
-        x, scale, info = scipy.linalg.lapack.ztrsyl(t[:lo, :lo], t_jj, rhs,
-                                                    isgn=-1)
-        if info < 0:
-            raise NumericError(f"triangular Sylvester solve failed (info={info})")
-        f[:lo, lo:hi] = x / scale
+    if k < fac.n:
+        f[k:, k:] = scipy.linalg.expm(alpha * fac.log_nonsingular)
+        f[:k, k:] = scipy.linalg.solve_triangular(
+            t[k:, k:], (t[:k, k:] @ f[k:, k:]).T, trans="T").T
     return f
 
 
@@ -325,17 +247,17 @@ def power_from_factorization(fac: TriangularFactorization | EigenFactorization,
     """Fractional power rebuilt from a precomputed factorization, as float64.
 
     An EigenFactorization gives (V diag(lambda^alpha)) W, one product; a
-    TriangularFactorization gives Q f(T) Q* by the block-column recurrence.
-    The power of a real matrix with no eigenvalue on the negative real axis,
-    such as any Laplacian here, is real (Higham, Functions of Matrices, Thm
-    1.18), so an imaginary part past rounding (_real_part) is NumericError.
+    TriangularFactorization gives Q f(T) Q* (_triangular_power).  The power
+    of a real matrix with no eigenvalue on the negative real axis, such as
+    any Laplacian here, is real (Higham, Functions of Matrices, Thm 1.18),
+    so an imaginary part past rounding (_real_part) is NumericError.
     """
     alpha = _check_alpha(alpha)
     if isinstance(fac, EigenFactorization):
         out = (fac.vectors * _principal_power(fac.eigenvalues, alpha)) \
             @ fac.inverse
     else:
-        ft = _triangular_power(fac.triangular, fac.starts, alpha)
+        ft = _triangular_power(fac, alpha)
         out = fac.unitary @ ft @ fac.unitary.conj().T
     return _real_part(out, f"fractional power at alpha={alpha:g}")
 

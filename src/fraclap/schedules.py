@@ -65,6 +65,14 @@ def _clamp(raw):
     return min(1.0, max(ALPHA_MIN, float(raw)))
 
 
+def _require_finite(name: str, *params: float) -> None:
+    # A NaN fails every comparison, so it slips past checks written as
+    # "reject if out of range" and evaluates to a silently clamped alpha;
+    # an infinity overflows the probe.
+    if not all(math.isfinite(p) for p in params):
+        raise ScheduleError(f"{name} parameters must be finite, got {params}")
+
+
 @dataclass(frozen=True)
 class ConstantSchedule(AlphaSchedule):
     value: float
@@ -86,6 +94,8 @@ class SineSchedule(AlphaSchedule):
     angular_frequency: float
 
     def __post_init__(self):
+        _require_finite("sine", self.base, self.amplitude,
+                        self.angular_frequency)
         if self.amplitude < 0:
             raise ScheduleError("sine amplitude must be >= 0")
         if self.angular_frequency <= 0:
@@ -117,6 +127,7 @@ class ExpSaturatingSchedule(AlphaSchedule):
     rate: float
 
     def __post_init__(self):
+        _require_finite("saturation", self.rate)
         if self.rate <= 0:
             raise ScheduleError("saturation rate must be > 0")
 
@@ -179,6 +190,7 @@ class TriangularSchedule(AlphaSchedule):
 
 
 def _check_band(lo, hi, period, name):
+    _require_finite(name, lo, hi, period)
     if not 0.0 < lo <= hi <= 1.0:
         raise ScheduleError(f"{name} needs 0 < lo <= hi <= 1, got ({lo}, {hi})")
     if period <= 0:
@@ -197,6 +209,7 @@ class SplineSchedule(AlphaSchedule):
             raise ScheduleError("spline needs matching knot times and values")
         if len(self.knot_times) < 2:
             raise ScheduleError("spline needs at least two knots")
+        _require_finite("spline knot time", *self.knot_times)
         times = np.asarray(self.knot_times, dtype=float)
         if np.any(np.diff(times) <= 0):
             raise ScheduleError("spline knot times must be strictly increasing")

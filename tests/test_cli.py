@@ -421,6 +421,16 @@ def test_config_file_with_flag_override(c4_path, tmp_path):
     assert table[-1, 0] == 1.0
 
 
+def test_config_file_unknown_key_exits_two(c4_path, tmp_path, capsys):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"t_edn": 5, "t-end": 1}))
+    out = tmp_path / "x.csv"
+    assert main(["simulate", "--config", str(config), "--graph", c4_path,
+                 "--out", str(out)]) == 2
+    assert "unknown keys ['t_edn']" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_largest_component_flag(tmp_path):
     path = tmp_path / "two.edges"
     path.write_text("1 2\n2 3\n3 1\n4 5\n")
@@ -480,23 +490,39 @@ def test_exit_code_numeric_failure(tmp_path):
     assert not (tmp_path / "x.csv").exists()
 
 
-def test_exit_code_imaginary_power(tmp_path, capsys):
-    # A directed 30-ring whose closing arc weighs 1e-10 (kappa(V) ~ 6.5e9):
-    # the power at alpha=0.5 has an imaginary residue past rounding.
+def test_weak_ring_power_and_simulate_succeed(tmp_path):
+    # A directed 30-ring whose closing arc weighs 1e-10 (kappa(V) ~ 6.5e9)
+    # takes the Schur route; its zero eigenvalue deflates, so the power is
+    # real to rounding and every run completes.
     weak = tmp_path / "weak.edges"
     weak.write_text("".join(f"{i} {i + 1}\n" for i in range(1, 30))
                     + "30 1 1e-10\n")
-    out = str(tmp_path / "x.csv")
-    common = ["--graph", str(weak), "--directed", "--laplacian", "out",
-              "--out", out]
-    message = "fractional power at alpha=0.5 has an imaginary part"
+    lap = directed_laplacians(load_graph(str(weak), directed=True))[0]
+    common = ["--graph", str(weak), "--directed", "--laplacian", "out"]
+    out = str(tmp_path / "P.csv")
+    assert main(["power", "--alpha", "0.5", *common, "--out", out]) == 0
+    power = read_matrix(out)
+    assert np.abs(power @ power - lap).max() <= 1e-12
     for integrator in ("rk45", "bdf"):
+        out = str(tmp_path / f"{integrator}.csv")
         assert main(["simulate", "--integrator", integrator, "--t-end", "1",
-                     *common]) == 3
-        assert message in capsys.readouterr().err
-    assert main(["power", "--alpha", "0.5", *common]) == 3
-    assert message in capsys.readouterr().err
-    assert not (tmp_path / "x.csv").exists()
+                     *common, "--out", out]) == 0
+        stats = json.load(open(out + ".stats.json"))
+        assert stats["generator_route"] == "schur"
+        assert stats["mass_max_error"] <= 1e-10
+
+
+@pytest.mark.parametrize("descriptor", [
+    "sin:nan,0.1,1", "sin:0.5,nan,1", "sin:0.5,0.4,nan", "sin:0.5,0.4,inf",
+    "expsat:nan", "expsat:inf", "saw:0.2,0.9,nan", "saw:0.2,0.9,inf",
+    "tri:0.2,0.9,nan", "spline:0=0.5;nan=0.6;2=0.7"])
+def test_non_finite_schedule_parameter_exits_two(descriptor, c4_path,
+                                                 tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert main(["simulate", "--graph", c4_path, "--alpha", descriptor,
+                 "--t-end", "1", "--out", str(out)]) == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_exit_code_io_failure(c4_path, tmp_path):

@@ -124,7 +124,7 @@ def test_kpath_generator_matrix_values(c4):
 @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.9])
 def test_general_generator_nrw_ring_matches_symmetric(alpha):
     # On a regular graph L_rw equals L_sym, and the smallest nonzero eigenvalue
-    # 1 - cos(2 pi / 30) ~ 0.022 lies within the blocking radius of zero.
+    # 1 - cos(2 pi / 30) ~ 0.022 lies close to zero.
     rw, sym = normalized_laplacians(cycle_graph(30))
     power = GeneralGenerator.from_matrix(rw).matrix(alpha)
     expected = fractional_power_sym(sym_eig(sym), alpha)
@@ -362,11 +362,14 @@ def test_exact_rejects_general_generator():
 @pytest.mark.parametrize("method", ["rk45", "bdf"])
 @pytest.mark.parametrize("model", ["heat", "schrodinger"])
 def test_power_with_imaginary_residue_fails_the_run(model, method, schedule):
-    # The weak 30-ring (kappa(V) ~ 6.5e9) has powers whose imaginary part
-    # exceeds the rounding bound at most exponents; no step may drop it.
-    gen = GeneralGenerator.from_matrix(directed_laplacians(weak_ring(30))[0])
-    problem = DynamicsProblem(model, gen, schedule,
-                              random_initial_state(model, 30, seed=2), 1.0)
+    # A spectrum not closed under conjugation, (0, 1+1j) with V = W = I,
+    # has powers whose imaginary part exceeds the rounding bound at every
+    # exponent; no step may drop it.
+    eye = np.eye(2, dtype=complex)
+    fac = EigenFactorization(eigenvalues=np.array([0.0, 1.0 + 1.0j]),
+                             vectors=eye, inverse=eye, condition=1.0)
+    problem = DynamicsProblem(model, GeneralGenerator(fac, 1.0), schedule,
+                              random_initial_state(model, 2, seed=2), 1.0)
     with pytest.raises(NumericError,
                        match=r"fractional power at alpha=\S+ has an imaginary"):
         simulate(problem, IntegratorConfig(method=method))
@@ -438,7 +441,7 @@ def test_schrodinger_exact_matches_rk45_karate(karate):
 
 def test_defective_matrix_takes_schur_route():
     # A 30x30 Jordan block: the eigenvectors read off T are exactly
-    # dependent, so V has no inverse and only the recurrence applies.
+    # dependent, so V has no inverse and only the triangular factor applies.
     m = np.eye(30) + np.diag(np.ones(29), 1)
     gen = GeneralGenerator.from_matrix(m)
     assert gen.route == "schur" and gen.eigvec_condition == np.inf
@@ -468,7 +471,6 @@ def test_generator_routes_and_condition(caplog):
 
 @pytest.mark.parametrize("name, alpha, route", [
     ("digraph", 0.5, "eigen"), ("karate_nrw", 0.5, "eigen"),
-    # The weak 30-ring's powers pass the realness bound only at small alpha.
     ("weak_ring30", 0.05, "schur")])
 def test_library_power_takes_the_generator_route(name, alpha, route):
     lap = (directed_laplacians(weak_ring(30))[0] if name == "weak_ring30"

@@ -2,8 +2,8 @@
 
 Inputs are out-degree Laplacians of strongly connected random digraphs and
 random-walk normalized Laplacians of connected weighted graphs, n <= 30
-(n <= 8 where a monodromy is integrated), and nearly defective weak rings
-whose Schur-route powers lose realness to rounding for n >= 20.
+(n <= 8 where a monodromy is integrated), and nearly defective weak rings,
+which take the Schur route.
 Tolerances are multiples of the unit roundoff, scaled by n, the size of
 the result and the condition number kappa(V) of the eigenvector matrix.
 """

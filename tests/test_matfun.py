@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import cycle_graph, ring_with_chords
+from conftest import cycle_graph, ring_with_chords, weak_ring
 from fraclap import (
     EigenFactorization,
     Graph,
@@ -177,7 +177,7 @@ def test_general_power_rejects_zero_jordan_block():
 
 
 def test_general_power_small_weight_two_cycle():
-    # Eigenvalues 0 and 0.06 lie within the blocking radius of each other.
+    # Eigenvalues 0 and 0.06: the nonzero one lies close to the deflated zero.
     g = Graph(2, ((0, 1, 0.03), (1, 0, 0.03)), directed=True)
     l_out, _ = directed_laplacians(g)
     power = power_from_factorization(triangular_factorization(l_out), 0.5)
@@ -203,8 +203,8 @@ def test_general_power_small_weight_three_cycle(alpha):
 @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.9])
 def test_general_power_wide_cluster_six_cycle(alpha):
     # The nonzero eigenvalues 0.1 (1 - exp(2 pi i k / 6)) lie about 0.1
-    # apart and chain into a cluster about as wide as its distance from
-    # zero, where the Taylor series about the cluster mean diverges.
+    # apart and about as close to each other as to zero, so the
+    # nonsingular block's logarithm sees a small, spread-out spectrum.
     g = Graph(6, tuple((i, (i + 1) % 6, 0.1) for i in range(6)), directed=True)
     l_out, _ = directed_laplacians(g)
     power = power_from_factorization(triangular_factorization(l_out), alpha)
@@ -214,6 +214,19 @@ def test_general_power_wide_cluster_six_cycle(alpha):
     reference = (vectors * powered) @ np.linalg.inv(vectors)
     assert np.abs(power - reference).max() <= 1e-13
     assert np.abs(power.sum(axis=1)).max() <= 1e-13
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.3, 0.5, 0.9])
+@pytest.mark.parametrize("n", [20, 30])
+def test_weak_ring_powers_compose_to_the_laplacian(n, alpha):
+    # kappa(V) ~ 6.5e9 at n=30: the Schur-route input.  With the zero
+    # eigenvalue deflated, L^alpha L^(1-alpha) = L holds to rounding.
+    lap = directed_laplacians(weak_ring(n))[0]
+    fac = triangular_factorization(lap)
+    power = power_from_factorization(fac, alpha)
+    complement = power_from_factorization(fac, 1.0 - alpha)
+    assert np.abs(power @ complement - lap).max() <= 1e-12
+    assert np.abs(power.sum(axis=1)).max() <= 1e-12
 
 
 # ---------------------------------------------------------------------------

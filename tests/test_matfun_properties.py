@@ -1,6 +1,6 @@
 """Property tests for fractional powers of Laplacian matrices.
 
-Inputs of the Schur-Parlett power of general matrices are out-degree
+Inputs of the triangular-factor power of general matrices are out-degree
 Laplacians of strongly connected digraphs and random-walk normalized
 Laplacians of connected undirected graphs; inputs of the symmetric
 eigenbasis power (SpectralGenerator.matrix) are combinatorial Laplacians of
@@ -21,7 +21,6 @@ from fraclap import (
     normalized_laplacians,
 )
 from fraclap.matfun import (
-    BLOCKING_DELTA,
     EIGENVALUE_CLAMP,
     power_from_factorization,
     triangular_factorization,
@@ -146,15 +145,8 @@ def test_reordered_factorization_is_unitary_and_triangular(lap):
 
 @PROPERTY
 @given(laplacians)
-def test_blocks_are_separated_clusters(lap):
-    n = lap.shape[0]
+def test_zero_eigenvalues_lead_the_diagonal(lap):
     fac = triangular_factorization(lap)
-    starts = np.array(fac.starts)
-    assert starts[0] == 0 and starts[-1] == n and np.all(np.diff(starts) > 0)
-    diag = np.diag(fac.triangular)
-    zero = np.abs(diag) <= EIGENVALUE_CLAMP
-    block = np.repeat(np.arange(starts.size - 1), np.diff(starts))
-    for lo, hi in zip(starts[:-1], starts[1:]):
-        assert zero[lo:hi].all() or not zero[lo:hi].any()
-    apart = (block[:, None] != block[None, :]) & (zero[:, None] == zero[None, :])
-    assert np.all(np.abs(diag[:, None] - diag[None, :])[apart] > BLOCKING_DELTA)
+    zero = np.abs(np.diag(fac.triangular)) <= EIGENVALUE_CLAMP
+    assert 1 <= fac.zeros <= lap.shape[0]
+    assert zero[:fac.zeros].all() and not zero[fac.zeros:].any()

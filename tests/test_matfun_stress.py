@@ -1,4 +1,4 @@
-"""Stress tests for the triangular-recurrence power on clustered spectra.
+"""Stress tests for the triangular-factor power on clustered spectra.
 
 scipy.linalg.fractional_matrix_power (an independent Schur-Pade
 implementation) serves as the oracle wherever it is applicable.
@@ -21,7 +21,7 @@ from fraclap.matfun import power_from_factorization
 
 
 def schur_power(m, alpha):
-    """The block-column recurrence, called by name: most inputs here have
+    """The triangular-factor power, called by name: most inputs here have
     kappa(V) near 1, so fractional_power_general would take the eigen route."""
     return power_from_factorization(triangular_factorization(m), alpha)
 
@@ -103,14 +103,14 @@ def test_against_scipy_on_shifted_digraphs(seed):
         mine = schur_power(shifted, alpha)
         reference = scipy.linalg.fractional_matrix_power(shifted, alpha)
         assert np.abs(mine - reference).max() <= 1e-9
-        # unshifted: structural zero row sums survive the recurrence
+        # unshifted: structural zero row sums survive the deflation
         power = schur_power(l_out, alpha)
         assert np.abs(np.asarray(power).sum(axis=1)).max() <= 1e-8
 
 
 def test_interleaved_eigenvalue_clusters():
-    # Clusters {1.0, 1.05} and {5.0, 5.05} arrive interleaved on the
-    # diagonal, forcing the reordering pass before the block recurrence.
+    # Close pairs {1.0, 1.05} and {5.0, 5.05} arrive interleaved on the
+    # diagonal of a nonsingular matrix, whose power is expm(alpha log M).
     t = np.array([
         [1.0, 0.3, 0.1, 0.2],
         [0.0, 5.0, 0.4, 0.1],
@@ -127,7 +127,7 @@ def test_interleaved_eigenvalue_clusters():
 
 
 def test_tight_cluster_taylor_block():
-    # Eigenvalues 2 +- 5e-3 with coupling: lands in one Taylor block.
+    # Eigenvalues 2 +- 5e-3 with a strong coupling: nearly a Jordan block.
     t = np.array([[2.005, 1.0], [0.0, 1.995]])
     for alpha in (0.3, 0.9):
         mine = schur_power(t, alpha)
