@@ -54,24 +54,7 @@ _KINDS = {
     "kpath": _Kind(False, _kpath_laplacian, dynamics.KPathGenerator),
 }
 
-_DEFAULTS = {
-    "graph_format": None,
-    "directed": False,
-    "largest_component": False,
-    "laplacian": "comb",
-    "kpath_alpha": None,
-    "model": "heat",
-    "alpha": "const:0.5",
-    "integrator": "rk45",
-    "t_end": 10.0,
-    "rtol": 1e-6,
-    "atol": 1e-9,
-    "samples": 200,
-    "seed": 0,
-    "period": None,
-    "out": None,
-    "out_format": "csv",
-}
+_DECAY_KINDS = ("comb", "kpath")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -85,32 +68,34 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--graph", help="graph file path")
     common.add_argument("--graph-format", choices=["edgelist", "mtx"],
                         dest="graph_format")
-    common.add_argument("--directed", action="store_const", const=True,
+    common.add_argument("--directed", action="store_true",
                         help="treat an edge list as directed")
-    common.add_argument("--largest-component", action="store_const", const=True,
+    common.add_argument("--largest-component", action="store_true",
                         dest="largest_component",
                         help="restrict to the largest (strongly) connected component")
-    common.add_argument("--laplacian", choices=sorted(_KINDS))
+    common.add_argument("--laplacian", choices=sorted(_KINDS), default="comb")
     common.add_argument("--kpath-alpha", type=float, dest="kpath_alpha")
     common.add_argument("--out", help="output file path")
     common.add_argument("--out-format", choices=["csv", "json"],
-                        dest="out_format")
+                        dest="out_format", default="csv")
 
     sim = argparse.ArgumentParser(add_help=False)
-    sim.add_argument("--model", choices=["heat", "schrodinger"])
-    sim.add_argument("--alpha", help="schedule descriptor, e.g. sin:0.5,0.4,12.566")
-    sim.add_argument("--integrator", choices=["rk45", "bdf", "exact"])
-    sim.add_argument("--t-end", type=float, dest="t_end")
-    sim.add_argument("--rtol", type=float)
-    sim.add_argument("--atol", type=float)
-    sim.add_argument("--samples", type=int)
-    sim.add_argument("--seed", type=int)
+    sim.add_argument("--model", choices=["heat", "schrodinger"], default="heat")
+    sim.add_argument("--alpha", default="const:0.5",
+                     help="schedule descriptor, e.g. sin:0.5,0.4,12.566")
+    sim.add_argument("--integrator", choices=["rk45", "bdf", "exact"],
+                     default="rk45")
+    sim.add_argument("--t-end", type=float, dest="t_end", default=10.0)
+    sim.add_argument("--rtol", type=float, default=1e-6)
+    sim.add_argument("--atol", type=float, default=1e-9)
+    sim.add_argument("--samples", type=int, default=200)
+    sim.add_argument("--seed", type=int, default=0)
 
     sub.add_parser("laplacian", parents=[common],
                    help="write the selected Laplacian matrix")
     power = sub.add_parser("power", parents=[common],
                            help="write the fractional power L^alpha")
-    power.add_argument("--alpha", help="exponent in (0, 1]")
+    power.add_argument("--alpha", default="const:0.5", help="exponent in (0, 1]")
     sub.add_parser("kpath", parents=[common],
                    help="write the transformed k-path Laplacian at --kpath-alpha")
     sub.add_parser("spectrum", parents=[common],
@@ -125,36 +110,45 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
-    """Fill unset options from the config file, then from hard defaults."""
-    file_values = {}
-    if getattr(args, "config", None):
-        try:
-            with open(args.config) as fh:
-                file_values = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"config file {args.config}: {exc}") from exc
-        if not isinstance(file_values, dict):
-            raise ConfigError("config file must hold a JSON object")
+def _with_config(parser, args, argv: list[str]) -> argparse.Namespace:
+    """Parse the config file's entries as --key=value flags ahead of argv's,
+    which win.  null, a false switch and other subcommands' keys add none."""
+    try:
+        with open(args.config) as fh:
+            file_values = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"config file {args.config}: {exc}") from exc
+    if not isinstance(file_values, dict):
+        raise ConfigError("config file must hold a JSON object")
     file_values = {key.replace("-", "_"): value
                    for key, value in file_values.items()}
-    unknown = sorted(file_values.keys() - _DEFAULTS.keys() - {"graph"})
+    options = {name: vars(parser.parse_args([name])) for name in _COMMANDS}
+    known = set().union(*options.values()) - {"command", "config"}
+    unknown = sorted(file_values.keys() - known)
     if unknown:
         raise ConfigError(f"config file {args.config}: unknown keys {unknown}")
+    defaults, tokens = options[args.command], [args.command]
     for key, value in file_values.items():
-        if getattr(args, key, None) is None:
-            setattr(args, key, value)
-    for key, value in _DEFAULTS.items():
-        if getattr(args, key, None) is None:
-            setattr(args, key, value)
-    return args
+        switch = defaults.get(key) is False
+        if isinstance(value, (list, dict)) or value is False and not switch:
+            raise ConfigError(f"config file {args.config}: {key} cannot be "
+                              f"{json.dumps(value)}")
+        if key in defaults and value is not None and value is not False:
+            flag = "--" + key.replace("_", "-")
+            tokens.append(flag if value is True else f"{flag}={value}")
+    # The explicit flags passed the first parse: an error here is the file's.
+    try:
+        return parser.parse_args(tokens + argv[argv.index(args.command) + 1:])
+    except SystemExit:
+        raise ConfigError("the value rejected above comes from config file "
+                          f"{args.config}") from None
 
 
 def _load_graph(args) -> graphs.Graph:
     if not args.graph:
         raise ConfigError("--graph is required")
     g = graphs.load_graph(args.graph, fmt=args.graph_format,
-                          directed=bool(args.directed))
+                          directed=args.directed)
     if args.largest_component:
         g = graphs.connectivity(g).largest_component
     return g
@@ -162,9 +156,7 @@ def _load_graph(args) -> graphs.Graph:
 
 def _check_kind(g: graphs.Graph, name: str) -> _Kind:
     """The table entry of a kind, once the graph's direction fits it."""
-    kind = _KINDS.get(name)
-    if kind is None:
-        raise ConfigError(f"unknown laplacian kind {name!r}")
+    kind = _KINDS[name]
     if kind.directed != g.directed:
         need = "a directed" if kind.directed else "an undirected"
         raise ConfigError(f"laplacian kind {name!r} needs {need} graph")
@@ -202,17 +194,15 @@ def _generator_for(g: graphs.Graph, args):
 
 
 def _build_problem(g: graphs.Graph, args):
-    if args.t_end <= 0:
-        raise ConfigError(f"--t-end must be positive, got {args.t_end}")
     generator = _generator_for(g, args)
     schedule = parse_schedule(args.alpha)
-    state = dynamics.random_initial_state(args.model, g.n, int(args.seed))
+    state = dynamics.random_initial_state(args.model, g.n, args.seed)
     problem = dynamics.DynamicsProblem(
         model=args.model, generator=generator, schedule=schedule,
-        initial_state=state, horizon=float(args.t_end))
+        initial_state=state, horizon=args.t_end)
     config = dynamics.IntegratorConfig(
-        method=args.integrator, rtol=float(args.rtol), atol=float(args.atol),
-        samples=int(args.samples))
+        method=args.integrator, rtol=args.rtol, atol=args.atol,
+        samples=args.samples)
     return problem, config
 
 
@@ -237,19 +227,18 @@ def _sidecar(traj, args, g, problem) -> dict:
         "model": args.model,
         "integrator": args.integrator,
         "schedule": render_schedule(problem.schedule),
-        "seed": int(args.seed),
-        "samples": int(args.samples),
-        "t_end": float(args.t_end),
+        "seed": args.seed,
+        "samples": args.samples,
+        "t_end": args.t_end,
     }
     key = "mass_max_error" if args.model == "heat" else "norm_max_error"
     payload[key] = _conservation_error(traj, args.model)
     if args.model == "heat":
         payload["min_heat_entry"] = float(traj.states.real.min())
         payload["entries_below_atol"] = int(
-            (traj.states.real < -float(args.atol)).sum())
+            (traj.states.real < -args.atol).sum())
     payload["empirical_decay_rate"] = None
-    if args.model == "heat" and args.laplacian in ("comb", "kpath") \
-            and not g.directed:
+    if args.model == "heat" and args.laplacian in _DECAY_KINDS:
         try:
             envelope = stability.decay_envelope(traj, stability.steady_state(g))
             payload["empirical_decay_rate"] = envelope.rate
@@ -310,7 +299,7 @@ def cmd_decay(args) -> int:
     g = _load_graph(args)
     if args.model != "heat":
         raise ConfigError("decay analysis applies to the heat model")
-    if args.laplacian not in ("comb", "kpath"):
+    if args.laplacian not in _DECAY_KINDS:
         raise ConfigError("decay analysis needs the comb or kpath kind")
     problem, config = _build_problem(g, args)
     traj = dynamics.simulate(problem, config)
@@ -343,10 +332,9 @@ def cmd_floquet(args) -> int:
     schedule = parse_schedule(args.alpha)
     if args.laplacian == "kpath":
         raise ConfigError("floquet analysis needs a fractional Laplacian kind")
-    period = float(args.period)
     exponents = stability.floquet_exponents(_generator_for(g, args), schedule,
-                                            period)
-    trajio.write_exponents(exponents, period, _require_out(args),
+                                            args.period)
+    trajio.write_exponents(exponents, args.period, _require_out(args),
                            args.out_format)
     return EXIT_OK
 
@@ -363,13 +351,15 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        args = _merge_config(args)
+        if args.config:
+            args = _with_config(parser, args, argv)
         return _COMMANDS[args.command](args)
     except NumericError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -431,6 +431,66 @@ def test_config_file_unknown_key_exits_two(c4_path, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("entry", [
+    {"samples": 3.7}, {"seed": 1.9}, {"model": "quantum"},
+    {"laplacian": "bogus"}, {"directed": "no"}, {"out": ["x"]},
+    {"config": "other.json"}])
+def test_config_value_the_flag_would_reject_exits_two(entry, c4_path, tmp_path,
+                                                      capsys):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(entry))
+    assert main(["simulate", "--config", str(config), "--graph", c4_path,
+                 "--t-end", "1", "--out", str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert str(config) in err and next(iter(entry)) in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c4.edges",
+                                                          "run.json"]
+
+
+def test_config_number_given_as_string_is_parsed_like_the_flag(c4_path,
+                                                               tmp_path):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"t_end": "5"}))
+    out = str(tmp_path / "a.csv")
+    assert main(["simulate", "--config", str(config), "--graph", c4_path,
+                 "--integrator", "exact", "--out", out]) == 0
+    assert read_trajectory(out)[1][-1, 0] == 5.0
+
+
+@pytest.mark.parametrize("entries, flags, graph", [
+    ({"t_end": 2.5}, ["--t-end", "2.5"], "c4"),
+    ({"rtol": 1e-8}, ["--rtol", "1e-8"], "c4"),
+    ({"atol": 1e-11}, ["--atol", "1e-11"], "c4"),
+    ({"samples": 17}, ["--samples", "17"], "c4"),
+    ({"seed": 9}, ["--seed", "9"], "c4"),
+    ({"alpha": "saw:0.2,0.9,0.5"}, ["--alpha", "saw:0.2,0.9,0.5"], "c4"),
+    ({"integrator": "bdf"}, ["--integrator", "bdf"], "c4"),
+    ({"model": "schrodinger"}, ["--model", "schrodinger"], "c4"),
+    ({"laplacian": "kpath", "kpath_alpha": 1.5},
+     ["--laplacian", "kpath", "--kpath-alpha", "1.5"], "c4"),
+    ({"out_format": "json"}, ["--out-format", "json"], "c4"),
+    ({"directed": True, "laplacian": "out"}, ["--directed", "--laplacian", "out"],
+     "ring"),
+    ({"largest_component": True}, ["--largest-component"], "two"),
+    # null leaves an option unset, and floquet's period is ignored here
+    ({"t_end": None, "period": 0.5}, [], "c4"),
+])
+def test_config_value_runs_like_the_flag(entries, flags, graph, c4_path,
+                                         digraph_path, tmp_path):
+    two = tmp_path / "two.edges"
+    two.write_text("1 2\n2 3\n3 1\n4 5\n")
+    graph = {"c4": c4_path, "ring": digraph_path, "two": str(two)}[graph]
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(entries))
+    by_file, by_flag = str(tmp_path / "file.csv"), str(tmp_path / "flag.csv")
+    assert main(["simulate", "--config", str(config), "--graph", graph,
+                 "--out", by_file]) == 0
+    assert main(["simulate", *flags, "--graph", graph, "--out", by_flag]) == 0
+    for suffix in ("", ".stats.json"):
+        assert open(by_file + suffix, "rb").read() \
+            == open(by_flag + suffix, "rb").read()
+
+
 def test_largest_component_flag(tmp_path):
     path = tmp_path / "two.edges"
     path.write_text("1 2\n2 3\n3 1\n4 5\n")
