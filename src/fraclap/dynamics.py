@@ -218,6 +218,10 @@ class DynamicsProblem:
         if state.shape != (self.generator.n,):
             raise ValueError(
                 f"initial state has shape {state.shape}, expected ({self.generator.n},)")
+        bad = np.flatnonzero(~np.isfinite(state))
+        if bad.size:
+            raise ValueError(f"initial state entry {bad[0]} is {state[bad[0]]}, "
+                             "not finite")
         if self.model == "heat":
             if np.iscomplexobj(state) and np.abs(state.imag).max() > 0:
                 raise ValueError("heat initial state must be real")
@@ -449,7 +453,8 @@ def _exponent_integrals(lam, schedule, times, stats=None):
 
     Complex eigenvalues (principal branch, 0^alpha := 0) are integrated as
     one real integrand [Re lam^alpha, Im lam^alpha] and returned complex.
-    A quadrature failure surfaces as ConvergenceError naming the eigenvalue.
+    A quadrature failure surfaces as ConvergenceError naming the eigenvalue,
+    or carrying the quadrature's message when no component failed.
     """
     times = np.asarray(times, dtype=float)
     if np.iscomplexobj(lam):
@@ -465,7 +470,10 @@ def _exponent_integrals(lam, schedule, times, stats=None):
             integrand, 0.0, times,
             breakpoints=schedule.breakpoints(0.0, times[-1]), stats=stats)
     except QuadratureError as exc:
-        bad = exc.component % lam.size if exc.component is not None else 0
+        if exc.component is None:
+            raise ConvergenceError(
+                f"exponent quadrature failed: {exc}") from exc
+        bad = exc.component % lam.size
         raise ConvergenceError(
             f"exponent quadrature failed for eigenvalue {lam[bad]!r} "
             f"on interval {exc.interval}") from exc

@@ -114,6 +114,9 @@ def _check_samples(sample_times, t_end):
     samples = np.asarray(sample_times, dtype=float)
     if samples.ndim != 1 or samples.size == 0:
         raise ValueError("sample_times must be a nonempty 1-D array")
+    # A NaN fails every comparison below, leaving its rows unwritten.
+    if not np.isfinite(samples).all() or not np.isfinite(t_end):
+        raise ValueError("sample_times and t_end must be finite")
     if np.any(np.diff(samples) <= 0):
         raise ValueError("sample_times must be strictly increasing")
     if samples[0] < 0 or samples[-1] > t_end:

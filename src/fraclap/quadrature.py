@@ -74,6 +74,8 @@ def adaptive_simpson(f, a: float, b, *, tol: float = _DEFAULT_TOL,
     ends = np.atleast_1d(np.asarray(b, dtype=float))
     if ends.ndim != 1 or ends.size == 0:
         raise ValueError("end points must be a scalar or a non-empty 1-D array")
+    if not np.isfinite(a) or not np.isfinite(ends).all():
+        raise ValueError("end points must be finite")
     if ends[0] < a or np.any(np.diff(ends) < 0):
         raise ValueError(f"empty interval: end points {ends} do not increase "
                          f"from {a}")

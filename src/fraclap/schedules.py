@@ -11,11 +11,12 @@ return a float or an ndarray of the same shape.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
 
+from . import quadrature
 from .errors import ScheduleError
 
 __all__ = [
@@ -36,7 +37,14 @@ ALPHA_MIN = 1e-6
 
 
 class AlphaSchedule:
-    """Base class: subclasses implement ``raw``; calls are clamped."""
+    """Base class: subclasses implement ``raw``; calls are clamped.
+
+    A family's descriptor name is its ``family``; its dataclass fields, in
+    order, are the descriptor's parameters.
+    """
+
+    family: str | None = None
+    period: float | None = None
 
     def raw(self, t):
         """Unclamped alpha at a float time or an ndarray of times."""
@@ -48,10 +56,6 @@ class AlphaSchedule:
     def breakpoints(self, t0: float, t1: float) -> tuple[float, ...]:
         """Non-smooth points strictly inside (t0, t1), for quadrature."""
         return ()
-
-    @property
-    def period(self) -> float | None:
-        return None
 
 
 def _is_array(raw) -> bool:
@@ -75,6 +79,7 @@ def _require_finite(name: str, *params: float) -> None:
 
 @dataclass(frozen=True)
 class ConstantSchedule(AlphaSchedule):
+    family = "const"
     value: float
 
     def __post_init__(self):
@@ -89,6 +94,7 @@ class ConstantSchedule(AlphaSchedule):
 class SineSchedule(AlphaSchedule):
     """base + amplitude * sin(angular_frequency * t)."""
 
+    family = "sin"
     base: float
     amplitude: float
     angular_frequency: float
@@ -124,6 +130,7 @@ class SineSchedule(AlphaSchedule):
 class ExpSaturatingSchedule(AlphaSchedule):
     """1 - exp(-rate * t): starts at 0 (clamped) and saturates at 1."""
 
+    family = "expsat"
     rate: float
 
     def __post_init__(self):
@@ -138,69 +145,67 @@ class ExpSaturatingSchedule(AlphaSchedule):
 def _periodic_interior_points(step: float, t0: float, t1: float):
     first = math.floor(t0 / step) + 1
     last = math.ceil(t1 / step) - 1
+    # Counted before the tuple is built: the quadrature cannot take more
+    # panels than its budget, and a tiny period would exhaust memory first.
+    if last - first + 1 > quadrature._MAX_INTERVALS:
+        raise ScheduleError(
+            f"schedule has {last - first + 1} breakpoints on ({t0}, {t1}), "
+            f"more than the quadrature budget of {quadrature._MAX_INTERVALS} "
+            "panels")
     return tuple(k * step for k in range(first, last + 1)
                  if t0 < k * step < t1)
 
 
 @dataclass(frozen=True)
-class SawtoothSchedule(AlphaSchedule):
-    """Periodic linear ramp lo -> hi with a jump back to lo at each period."""
+class _BandSchedule(AlphaSchedule):
+    """Periodic schedule between lo and hi; ``name`` labels its errors."""
 
     lo: float
     hi: float
-    period_: float
+    # field() keeps AlphaSchedule.period from becoming this field's default.
+    period: float = field()
 
     def __post_init__(self):
-        _check_band(self.lo, self.hi, self.period_, "sawtooth")
+        lo, hi, name = self.lo, self.hi, self.name
+        _require_finite(name, lo, hi, self.period)
+        if not 0.0 < lo <= hi <= 1.0:
+            raise ScheduleError(f"{name} needs 0 < lo <= hi <= 1, got ({lo}, {hi})")
+        if self.period <= 0:
+            raise ScheduleError(f"{name} period must be > 0")
+
+
+class SawtoothSchedule(_BandSchedule):
+    """Periodic linear ramp lo -> hi with a jump back to lo at each period."""
+
+    family, name = "saw", "sawtooth"
 
     def raw(self, t):
-        phase = t / self.period_ - np.floor(t / self.period_)
+        phase = t / self.period - np.floor(t / self.period)
         return self.lo + (self.hi - self.lo) * phase
 
     def breakpoints(self, t0, t1):
-        return _periodic_interior_points(self.period_, t0, t1)
-
-    @property
-    def period(self):
-        return self.period_
+        return _periodic_interior_points(self.period, t0, t1)
 
 
-@dataclass(frozen=True)
-class TriangularSchedule(AlphaSchedule):
+class TriangularSchedule(_BandSchedule):
     """Continuous up-down ramp between lo and hi with the given period."""
 
-    lo: float
-    hi: float
-    period_: float
-
-    def __post_init__(self):
-        _check_band(self.lo, self.hi, self.period_, "triangular")
+    family, name = "tri", "triangular"
 
     def raw(self, t):
-        phase = t / self.period_ - np.floor(t / self.period_)
+        phase = t / self.period - np.floor(t / self.period)
         frac = np.where(phase <= 0.5, 2.0 * phase, 2.0 * (1.0 - phase))
         return self.lo + (self.hi - self.lo) * frac
 
     def breakpoints(self, t0, t1):
-        return _periodic_interior_points(self.period_ / 2.0, t0, t1)
-
-    @property
-    def period(self):
-        return self.period_
-
-
-def _check_band(lo, hi, period, name):
-    _require_finite(name, lo, hi, period)
-    if not 0.0 < lo <= hi <= 1.0:
-        raise ScheduleError(f"{name} needs 0 < lo <= hi <= 1, got ({lo}, {hi})")
-    if period <= 0:
-        raise ScheduleError(f"{name} period must be > 0")
+        return _periodic_interior_points(self.period / 2.0, t0, t1)
 
 
 @dataclass(frozen=True)
 class SplineSchedule(AlphaSchedule):
     """Not-a-knot cubic through the given knots, clamped into (0, 1]."""
 
+    family = "spline"
     knot_times: tuple[float, ...]
     knot_values: tuple[float, ...]
 
@@ -257,10 +262,6 @@ class ClampCountingSchedule:
     def breakpoints(self, t0, t1):
         return self.schedule.breakpoints(t0, t1)
 
-    @property
-    def period(self):
-        return self.schedule.period
-
 
 # ---------------------------------------------------------------------------
 # Descriptor grammar
@@ -268,6 +269,9 @@ class ClampCountingSchedule:
 #   const:<c> | sin:<base>,<amp>,<freq> | expsat:<rate> | saw:<lo>,<hi>,<T>
 #   | tri:<lo>,<hi>,<T> | spline:<t0>=<v0>;<t1>=<v1>;...
 
+_FAMILIES = {cls.family: cls for cls in (
+    ConstantSchedule, SineSchedule, ExpSaturatingSchedule, SawtoothSchedule,
+    TriangularSchedule, SplineSchedule)}
 _PROBE_POINTS = 1000
 _MAX_CLAMP_FRACTION = 0.2
 
@@ -296,18 +300,10 @@ def parse_schedule(text: str) -> AlphaSchedule:
 
 
 def _build_family(family: str, body: str) -> AlphaSchedule:
-    if family == "const":
-        return ConstantSchedule(float(body))
-    if family == "sin":
-        base, amp, freq = (float(p) for p in body.split(","))
-        return SineSchedule(base, amp, freq)
-    if family == "expsat":
-        return ExpSaturatingSchedule(float(body))
-    if family in ("saw", "tri"):
-        lo, hi, period = (float(p) for p in body.split(","))
-        cls = SawtoothSchedule if family == "saw" else TriangularSchedule
-        return cls(lo, hi, period)
-    if family == "spline":
+    cls = _FAMILIES.get(family)
+    if cls is None:
+        raise ScheduleError(f"unknown schedule family {family!r}")
+    if cls is SplineSchedule:
         times, values = [], []
         for piece in body.split(";"):
             if not piece.strip():
@@ -319,7 +315,11 @@ def _build_family(family: str, body: str) -> AlphaSchedule:
             times.append(float(t_text))
             values.append(float(v_text))
         return SplineSchedule(tuple(times), tuple(values))
-    raise ScheduleError(f"unknown schedule family {family!r}")
+    params, count = body.split(","), len(fields(cls))
+    if len(params) != count:
+        raise ValueError(f"{family} takes {count} "
+                         f"parameter{'s' * (count > 1)}, got {len(params)}")
+    return cls(*(float(p) for p in params))
 
 
 def _probe_window(schedule: AlphaSchedule) -> tuple[float, float]:
@@ -346,20 +346,13 @@ def _probe_range(schedule: AlphaSchedule) -> None:
 
 def render_schedule(schedule: AlphaSchedule) -> str:
     """Inverse of parse_schedule; floats use shortest round-trip form."""
-    r = repr
-    if isinstance(schedule, ConstantSchedule):
-        return f"const:{r(schedule.value)}"
-    if isinstance(schedule, SineSchedule):
-        return (f"sin:{r(schedule.base)},{r(schedule.amplitude)},"
-                f"{r(schedule.angular_frequency)}")
-    if isinstance(schedule, ExpSaturatingSchedule):
-        return f"expsat:{r(schedule.rate)}"
-    if isinstance(schedule, SawtoothSchedule):
-        return f"saw:{r(schedule.lo)},{r(schedule.hi)},{r(schedule.period_)}"
-    if isinstance(schedule, TriangularSchedule):
-        return f"tri:{r(schedule.lo)},{r(schedule.hi)},{r(schedule.period_)}"
-    if isinstance(schedule, SplineSchedule):
-        knots = ";".join(f"{r(t)}={r(v)}" for t, v in
+    family = next((name for name, cls in _FAMILIES.items()
+                   if isinstance(schedule, cls)), None)
+    if family is None:
+        raise TypeError(
+            f"cannot render schedule of type {type(schedule).__name__}")
+    if family == "spline":
+        knots = ";".join(f"{t!r}={v!r}" for t, v in
                          zip(schedule.knot_times, schedule.knot_values))
         return f"spline:{knots}"
-    raise TypeError(f"cannot render schedule of type {type(schedule).__name__}")
+    return f"{family}:" + ",".join(repr(v) for v in astuple(schedule))

@@ -91,6 +91,17 @@ def test_spectrum_command(c4_path, tmp_path):
     assert np.abs(np.array(values) - [0.0, 3.0, 3.0, 4.0]).max() <= 1e-10
 
 
+def test_spectrum_command_json(c4_path, tmp_path):
+    out = tmp_path / "S.json"
+    assert main(["spectrum", "--graph", c4_path, "--out-format", "json",
+                 "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert list(payload) == ["eigenvalues"]
+    lap = combinatorial_laplacian(load_graph(c4_path))
+    assert np.abs(np.array(payload["eigenvalues"])
+                  - np.linalg.eigvalsh(lap)).max() <= 1e-12
+
+
 def test_simulate_karate_shape_and_stats(tmp_path):
     out = str(tmp_path / "traj.csv")
     rc = main(["simulate", "--graph", KARATE, "--model", "heat",

@@ -18,6 +18,7 @@ from conftest import (
 import fraclap
 from fraclap import (
     ConstantSchedule,
+    ConvergenceError,
     DynamicsProblem,
     ExpSaturatingSchedule,
     GeneralGenerator,
@@ -25,11 +26,13 @@ from fraclap import (
     KPathGenerator,
     NumericError,
     SawtoothSchedule,
+    ScheduleError,
     SineSchedule,
     SpectralGenerator,
     SplineSchedule,
     StiffnessError,
     TriangularSchedule,
+    adaptive_simpson,
     combinatorial_laplacian,
     directed_laplacians,
     exact_solution,
@@ -95,6 +98,45 @@ def test_problem_rejects_nonpositive_horizon(c4):
     with pytest.raises(ValueError, match="horizon"):
         DynamicsProblem("heat", c4_generator(c4), SINE,
                         np.full(4, 0.25), 0.0)
+
+
+@pytest.mark.parametrize("model, state", [
+    ("heat", [np.nan, 0.5, 0.25, 0.25]),
+    ("heat", [np.inf, 0.5, 0.25, 0.25]),
+    ("schrodinger", [np.nan, 1.0, 0.0, 0.0]),
+    ("schrodinger", [1.0, complex(0.0, np.nan), 0.0, 0.0]),
+])
+def test_problem_rejects_nonfinite_state(c4, model, state):
+    with pytest.raises(ValueError, match="not finite"):
+        DynamicsProblem(model, c4_generator(c4), SINE, np.array(state), 1.0)
+
+
+def test_exact_rejects_nonfinite_sample_times(c4):
+    problem = DynamicsProblem("heat", c4_generator(c4), SINE,
+                              np.full(4, 0.25), 1.0)
+    with pytest.raises(ValueError, match="finite"):
+        exact_solution(problem, [0.0, np.nan])
+
+
+def test_exact_rejects_too_fine_schedule_before_quadrature(c4):
+    # About 2e6 sawtooth jumps on [0, 2]: more than the quadrature's panels.
+    problem = DynamicsProblem("heat", c4_generator(c4),
+                              SawtoothSchedule(0.2, 0.9, 1e-6),
+                              np.full(4, 0.25), 2.0)
+    with pytest.raises(ScheduleError, match=r"breakpoints on \(0.0, 2.0\)"):
+        exact_solution(problem)
+
+
+def test_exact_passes_on_quadrature_message_without_component(c4, monkeypatch):
+    def small_budget(*args, **kwargs):
+        return adaptive_simpson(*args, **kwargs, max_intervals=4)
+
+    monkeypatch.setattr(fraclap.dynamics, "adaptive_simpson", small_budget)
+    problem = DynamicsProblem("heat", c4_generator(c4), SINE,
+                              np.full(4, 0.25), 1.0)
+    with pytest.raises(ConvergenceError) as err:
+        exact_solution(problem, np.linspace(0.0, 1.0, 10))
+    assert "needs" in str(err.value) and "eigenvalue" not in str(err.value)
 
 
 def test_config_validation():

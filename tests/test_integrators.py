@@ -37,6 +37,17 @@ def step_start(message):
     return float(t), float(h)
 
 
+@pytest.mark.parametrize("samples, t_end", [([0.0, np.nan, 1.0], 1.0),
+                                            ([0.0, 1.0], np.nan)])
+def test_nonfinite_samples_rejected(samples, t_end):
+    # A NaN sample used to leave its row, and every later one, unwritten.
+    with pytest.raises(ValueError, match="finite"):
+        rk45_integrate(lambda t, y: -y, t_end, np.array([1.0]), samples)
+    with pytest.raises(ValueError, match="finite"):
+        bdf_integrate(lambda t, y: -y, linear_solver_factory(1.0), t_end,
+                      np.array([1.0]), samples)
+
+
 def test_dense_output_matrix_consistent_with_weights():
     # Interpolant at theta=1 must reproduce the fifth-order solution.
     assert np.abs(_DP_P.sum(axis=1) - np.append(_DP_B, 0.0)).max() <= 1e-14

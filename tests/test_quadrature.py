@@ -55,6 +55,13 @@ def test_reversed_interval_rejected():
         adaptive_simpson(lambda t: t, 1.0, 0.0)
 
 
+@pytest.mark.parametrize("a, b", [(0.0, np.nan), (np.nan, 1.0),
+                                  (0.0, np.inf), (0.0, [0.5, np.nan])])
+def test_nonfinite_end_points_rejected(a, b):
+    with pytest.raises(ValueError, match="finite"):
+        adaptive_simpson(np.cos, a, b)
+
+
 def test_budget_exhaustion_reports_interval():
     with pytest.raises(QuadratureError) as err:
         adaptive_simpson(lambda t: np.sin(200.0 * t) ** 2, 0.0, 6.0,

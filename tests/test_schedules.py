@@ -18,6 +18,7 @@ from fraclap import (
     parse_schedule,
     render_schedule,
 )
+from fraclap import quadrature
 from fraclap.schedules import ALPHA_MIN, ClampCountingSchedule
 
 
@@ -131,6 +132,17 @@ def test_parse_rejects_bad_grammar():
         parse_schedule("spline:1;2")
 
 
+@pytest.mark.parametrize("descriptor, message", [
+    ("sin:0.5,0.4", "sin takes 3 parameters, got 2"),
+    ("saw:0.2,0.9,1,2", "saw takes 3 parameters, got 4"),
+    ("const:0.5,0.2", "const takes 1 parameter, got 2"),
+    ("expsat:1,2", "expsat takes 1 parameter, got 2"),
+])
+def test_parse_names_family_on_wrong_parameter_count(descriptor, message):
+    with pytest.raises(ScheduleError, match=message):
+        parse_schedule(descriptor)
+
+
 def test_parse_rejects_unsorted_spline_knots():
     with pytest.raises(ScheduleError, match="increasing"):
         parse_schedule("spline:0=0.5;0=0.6;1=0.7")
@@ -161,6 +173,37 @@ def test_parse_rejects_band_out_of_range():
 def test_render_parse_round_trip(descriptor):
     schedule = parse_schedule(descriptor)
     assert parse_schedule(render_schedule(schedule)) == schedule
+
+
+def test_band_families_keep_their_names_in_errors():
+    with pytest.raises(ScheduleError, match="sawtooth period must be > 0"):
+        parse_schedule("saw:0.2,0.9,-1")
+    with pytest.raises(ScheduleError, match="triangular needs 0 < lo"):
+        parse_schedule("tri:0.5,1.5,1")
+    assert SawtoothSchedule(0.2, 0.9, 0.7).period == 0.7
+    assert TriangularSchedule(0.2, 0.9, 1.3).period == 1.3
+    assert ExpSaturatingSchedule(1.0).period is None
+
+
+def test_render_subclass_as_its_family_and_reject_others():
+    class Shifted(SineSchedule):
+        pass
+
+    assert render_schedule(Shifted(0.5, 0.25, 2.0)) == "sin:0.5,0.25,2.0"
+    for other in (ClampCountingSchedule(ConstantSchedule(0.5)), object()):
+        with pytest.raises(TypeError, match="cannot render schedule of type"):
+            render_schedule(other)
+
+
+def test_too_many_breakpoints_fail_before_they_are_built(monkeypatch):
+    monkeypatch.setattr(quadrature, "_MAX_INTERVALS", 8)
+    assert len(SawtoothSchedule(0.2, 0.9, 0.125).breakpoints(0.0, 1.0)) == 7
+    message = (r"schedule has 9 breakpoints on \(0.0, 1.0\), more than the "
+               "quadrature budget of 8 panels")
+    with pytest.raises(ScheduleError, match=message):
+        SawtoothSchedule(0.2, 0.9, 0.1).breakpoints(0.0, 1.0)
+    with pytest.raises(ScheduleError, match="breakpoints"):
+        SineSchedule(0.5, 0.4, 20.0).breakpoints(0.0, 2.0)
 
 
 def test_import_leaves_scipy_interpolate_unloaded():
