@@ -114,9 +114,9 @@ def _with_config(parser, args, argv: list[str]) -> argparse.Namespace:
     """Parse the config file's entries as --key=value flags ahead of argv's,
     which win.  null, a false switch and other subcommands' keys add none."""
     try:
-        with open(args.config) as fh:
+        with open(args.config, encoding="utf-8") as fh:
             file_values = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config file {args.config}: {exc}") from exc
     if not isinstance(file_values, dict):
         raise ConfigError("config file must hold a JSON object")
@@ -194,6 +194,11 @@ def _generator_for(g: graphs.Graph, args):
 
 
 def _build_problem(g: graphs.Graph, args):
+    if args.model == "schrodinger" and _check_kind(g, args.laplacian).directed:
+        raise ConfigError(
+            f"the schrodinger model conserves no norm on laplacian kind "
+            f"{args.laplacian!r}: -i L^alpha of a directed graph is not "
+            "skew-Hermitian")
     generator = _generator_for(g, args)
     schedule = parse_schedule(args.alpha)
     state = dynamics.random_initial_state(args.model, g.n, args.seed)

@@ -2,19 +2,18 @@
 
 The state convention is the row-vector one: p'(t) = -p(t) @ G(t) where the
 generator G(t) is either a fractional Laplacian power L^{alpha(t)} or the
-alpha(t)-weighted hop-coupling operator.  For symmetric generators every
-integration runs in the shared eigenbasis, where the system decouples into
-scalar equations q_i' = -lambda_i^{alpha(t)} q_i; entry/exit basis changes
-cost O(n^2) once while each right-hand-side call is O(n).  A hop-coupling
-operator under a constant exponent a is one fixed symmetric matrix K(a), so
-it takes the same eigenbasis route (and has the same closed form) as the
+alpha(t)-weighted hop-coupling operator.  All powers of one diagonalizable
+Laplacian V diag(lambda) W share its eigenbasis, where the system decouples
+into q_i' = -lambda_i^{alpha(t)} q_i.  One eigen-coordinate system
+(_EigenSystem) serves the closed form of every diagonalizable generator and
+the rk45 and bdf runs of symmetric ones: entry and exit cost O(n^2) once,
+each right-hand side O(n).  A hop-coupling operator under a constant
+exponent a is the one symmetric matrix K(a), so it is solved as the
 generator K(a)^1; under a varying exponent it integrates in state space.
 Non-symmetric generators integrate in state space (error control stays on
-p, where an eigenbasis with condition number kappa(V) would amplify it), but
-a diagonalizable one assembles each L^alpha as one product
-V diag(lambda^alpha) V^-1 and has the same closed-form solution as a
-symmetric one.  scipy loads on first use, when a state-space bdf step
-factorizes.
+p, where an eigenbasis with condition number kappa(V) would amplify it),
+assembling a diagonalizable L^alpha as one product V diag(lambda^alpha) V^-1.
+scipy loads on first use, when a state-space bdf step factorizes.
 """
 
 from __future__ import annotations
@@ -83,37 +82,40 @@ def _log_built(generator) -> None:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class SpectralGenerator:
+class _FactoredGenerator:
+    """A fractional Laplacian power L^alpha read off one factorization of L."""
+
+    factorization: EigenFactorization | TriangularFactorization
+
+    def __post_init__(self):
+        _log_built(self)
+
+    @property
+    def n(self) -> int:
+        return self.factorization.n
+
+    def clamped_eigenvalues(self) -> np.ndarray:
+        return self.factorization.clamped_eigenvalues()
+
+
+@dataclass(frozen=True)
+class SpectralGenerator(_FactoredGenerator):
     """L^alpha for a symmetric Laplacian; all powers share one eigenbasis."""
 
     factorization: EigenFactorization
     route = "symmetric"
     eigvec_condition = None
 
-    def __post_init__(self):
-        _log_built(self)
-
     @classmethod
     def from_matrix(cls, m: np.ndarray) -> "SpectralGenerator":
         return cls(sym_eig(m))
-
-    @property
-    def n(self) -> int:
-        return self.factorization.n
-
-    @property
-    def is_symmetric(self) -> bool:
-        return True
-
-    def clamped_eigenvalues(self) -> np.ndarray:
-        return self.factorization.clamped_eigenvalues()
 
     def matrix(self, alpha: float) -> np.ndarray:
         return fractional_power_sym(self.factorization, alpha)
 
 
 @dataclass(frozen=True)
-class GeneralGenerator:
+class GeneralGenerator(_FactoredGenerator):
     """L^alpha for a non-symmetric Laplacian, on the route matfun picks.
 
     matfun.general_factorization keeps the diagonalization (route "eigen":
@@ -122,11 +124,7 @@ class GeneralGenerator:
     or inf when V is singular.
     """
 
-    factorization: EigenFactorization | TriangularFactorization
     eigvec_condition: float
-
-    def __post_init__(self):
-        _log_built(self)
 
     @classmethod
     def from_matrix(cls, m: np.ndarray) -> "GeneralGenerator":
@@ -136,17 +134,6 @@ class GeneralGenerator:
     def route(self) -> str:
         return ("eigen" if isinstance(self.factorization, EigenFactorization)
                 else "schur")
-
-    @property
-    def n(self) -> int:
-        return self.factorization.n
-
-    @property
-    def is_symmetric(self) -> bool:
-        return False
-
-    def clamped_eigenvalues(self) -> np.ndarray:
-        return self.factorization.clamped_eigenvalues()
 
     def matrix(self, alpha: float) -> np.ndarray:
         return power_from_factorization(self.factorization, alpha)
@@ -182,10 +169,6 @@ class KPathGenerator:
     @property
     def n(self) -> int:
         return self.hops.shape[0]
-
-    @property
-    def is_symmetric(self) -> bool:
-        return True
 
     def matrix(self, alpha: float) -> np.ndarray:
         return _hop_coupling(self.hops, self.diameter, alpha)
@@ -316,12 +299,16 @@ class _System:
 
 
 class _EigenSystem(_System):
-    """Decoupled scalar dynamics in the eigenbasis of a symmetric generator.
+    """Decoupled scalar dynamics q_i' = -factor lam_i^alpha q_i in the
+    eigenbasis V diag(lam) W of a generator with an EigenFactorization.
 
-    Its factorization is an O(n) division, so it never hands back a stale one.
+    enter maps states to coordinates (p V) and exit maps them back (q W).
+    lam may be complex (principal branch, 0^alpha = 0 on the clamped
+    zeros).  Its factorization is an O(n) division, so it never hands back
+    a stale one.
     """
 
-    def __init__(self, generator: SpectralGenerator, schedule, factor, stats):
+    def __init__(self, generator: _FactoredGenerator, schedule, factor, stats):
         super().__init__(schedule, factor, stats)
         self.vectors = generator.factorization.vectors
         self.inverse = generator.factorization.inverse
@@ -331,7 +318,14 @@ class _EigenSystem(_System):
         return state @ self.vectors
 
     def exit(self, coords):
-        return coords @ self.inverse
+        """coords @ W, as two real products when only coords is complex."""
+        w = self.inverse
+        if not np.iscomplexobj(coords) or np.iscomplexobj(w):
+            return coords @ w
+        out = np.empty(coords.shape[:-1] + w.shape[1:], dtype=complex)
+        out.real = np.ascontiguousarray(coords.real) @ w
+        out.imag = np.ascontiguousarray(coords.imag) @ w
+        return out
 
     def rhs(self, t, coords):
         return -self.factor * (self.lam ** self.schedule(t)) * coords
@@ -354,7 +348,8 @@ class _DenseSystem(_System):
         super().__init__(schedule, factor, stats)
         self.reuses_stale = generator.n >= STALE_SOLVER_MIN_N
         self.matrix = functools.lru_cache(maxsize=1)(generator.matrix)
-        self.symmetric = generator.is_symmetric
+        # The only symmetric generator that runs in state space.
+        self.symmetric = isinstance(generator, KPathGenerator)
         self.n = generator.n
 
     def enter(self, state):
@@ -482,32 +477,21 @@ def _exponent_integrals(lam, schedule, times, stats=None):
     return integrals
 
 
-def _closed_form_factors(generator):
-    """(lambda, V, W) with V diag(lambda) W the generator's Laplacian."""
+def _diagonalized(generator):
+    """The generator, checked to have an eigenbasis for the closed form."""
     if isinstance(generator, KPathGenerator):
         raise ValueError(
             "the closed-form solution of a hop-coupling generator needs a "
             "constant exponent; under a varying one its operators do not "
             "share an eigenbasis")
-    fac = generator.factorization
-    if isinstance(fac, TriangularFactorization):
+    if isinstance(generator.factorization, TriangularFactorization):
         raise ValueError(
             "the closed-form solution needs a symmetric generator or a "
             "diagonalizable one: kappa(V) = "
             f"{generator.eigvec_condition:.3g} exceeds the limit "
             f"{EIGVEC_CONDITION_LIMIT:.0e}, so this generator is on the "
             "Schur route")
-    return fac.clamped_eigenvalues(), fac.vectors, fac.inverse
-
-
-def _real_product(x, m):
-    """x @ m for a real m, as two real products when x is complex."""
-    if not np.iscomplexobj(x) or np.iscomplexobj(m):
-        return x @ m
-    out = np.empty((x.shape[0], m.shape[1]), dtype=complex)
-    out.real = np.ascontiguousarray(x.real) @ m
-    out.imag = np.ascontiguousarray(x.imag) @ m
-    return out
+    return generator
 
 
 def exact_solution(problem: DynamicsProblem, sample_times=None) -> Trajectory:
@@ -519,29 +503,30 @@ def exact_solution(problem: DynamicsProblem, sample_times=None) -> Trajectory:
     dtau comes from one batched adaptive Gauss-Kronrod (G7-K15) pass over
     all sample times and eigenvalues, with total error estimate below
     1e-10 per eigenvalue (per real and imaginary part when lambda is
-    complex).  Every sample is then formed in one product
-    ((p0 V) * exp(-I)) @ W (exp(-iI) for the Schrodinger model), where W is
-    V^T for a symmetric generator and V^-1 for an eigenvalue-route
-    non-symmetric one.  A hop-coupling generator under a constant exponent
-    a is the symmetric generator K(a)^1, so its solution is
-    p0 V exp(-t Lambda) V^T; under a varying exponent it is rejected, as
-    are Schur-route generators.  A heat state keeps its real part; an
+    complex).  Every sample is then formed in the integrators' eigen-
+    coordinates (_EigenSystem) as exit(enter(p0) * exp(-I)) (exp(-iI) for
+    the Schrodinger model), where exit multiplies by W = V^T for a
+    symmetric generator and W = V^-1 for an eigenvalue-route non-symmetric
+    one.  A hop-coupling generator under a constant exponent a is the
+    symmetric generator K(a)^1, so its solution is p0 V exp(-t Lambda) V^T;
+    under a varying exponent it is rejected, as are Schur-route
+    generators.  A heat state keeps its real part; an
     imaginary residue past the rounding bound of fractional powers
     (matfun._real_part) raises NumericError.  stats.quadrature_panels counts
     the panels evaluated and stats.clamp_count the clamped Gauss nodes (for
     a constant hop-coupling exponent, its one clamped read).
     """
     generator, schedule, counting = _solved_form(problem)
-    lam, vectors, inverse = _closed_form_factors(generator)
+    stats = StepStats()
+    system = _EigenSystem(_diagonalized(generator), schedule, problem.factor,
+                          stats)
     if sample_times is None:
         sample_times = np.linspace(0.0, problem.horizon, 200)
     samples = _check_samples(sample_times, problem.horizon)
 
-    stats = StepStats()
-    integrals = _exponent_integrals(lam, schedule, samples, stats)
-    phase = -integrals if problem.model == "heat" else -1j * integrals
-    coords0 = problem.initial_state @ vectors
-    states = _real_product(coords0 * np.exp(phase), inverse)
+    integrals = _exponent_integrals(system.lam, schedule, samples, stats)
+    states = system.exit(system.enter(problem.initial_state)
+                         * np.exp(-problem.factor * integrals))
     if problem.model == "heat":
         states = _real_part(states, "closed-form heat states")
     return _finish(samples, states, stats, counting.clamps)

@@ -122,8 +122,8 @@ def load_graph(path, fmt: str | None = None, directed: bool = False) -> Graph:
             from the header ("symmetric" -> undirected, "general" -> directed).
 
     Raises:
-        GraphParseError: malformed content, the message led by path:line
-            and .line the offending line.
+        GraphParseError: malformed content or bytes that are not UTF-8,
+            the message led by path:line and .line the offending line.
     """
     path = Path(path)
     if fmt is None:
@@ -131,9 +131,15 @@ def load_graph(path, fmt: str | None = None, directed: bool = False) -> Graph:
     if fmt not in ("edgelist", "mtx"):
         raise ValueError(f"unknown graph format {fmt!r}")
     try:
-        text = path.read_text()
+        data = path.read_bytes()
     except OSError as exc:
         raise GraphParseError(f"cannot read file: {exc}", path=str(path)) from exc
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise GraphParseError(f"not UTF-8 text: byte {data[exc.start]:#04x} "
+                              f"at offset {exc.start}", str(path), line) from exc
     if fmt == "mtx":
         return _parse_matrix_market(text, str(path))
     return _parse_edge_list(text, str(path), directed)

@@ -11,6 +11,7 @@ from .dynamics import (
     SpectralGenerator,
     Trajectory,
     _exponent_integrals,
+    _FactoredGenerator,
 )
 from .errors import NumericError
 from .graphs import Graph, connectivity, directed_laplacians
@@ -107,7 +108,7 @@ def floquet_exponents(generator: SpectralGenerator | GeneralGenerator,
     exponent equals log(multiplier) / T.  Exponents are sorted by
     decreasing real part (the conserved direction comes first).
     """
-    if not isinstance(generator, (SpectralGenerator, GeneralGenerator)):
+    if not isinstance(generator, _FactoredGenerator):
         raise ValueError("Floquet exponents need a SpectralGenerator or a "
                          "GeneralGenerator, got "
                          f"{type(generator).__name__}")

@@ -184,7 +184,9 @@ def test_simulate_directed_out_laplacian(digraph_path, tmp_path):
     assert np.abs(table[:, 1:].sum(axis=1) - 1.0).max() <= 1e-5
 
 
-@pytest.mark.parametrize("model", ["heat", "schrodinger"])
+# Schrodinger runs on directed kinds exit 2 (see below); the library's
+# agreement on them is test_dynamics.py::test_exact_eigen_route_matches_bdf.
+@pytest.mark.parametrize("model", ["heat"])
 def test_simulate_directed_exact_matches_bdf(digraph_path, tmp_path, model):
     tables = {}
     for integrator in ("exact", "bdf"):
@@ -200,6 +202,21 @@ def test_simulate_directed_exact_matches_bdf(digraph_path, tmp_path, model):
         assert stats["generator_route"] == "eigen"
         assert 1.0 <= stats["eigvec_condition"] <= 1e4
     assert np.abs(tables["exact"] - tables["bdf"]).max() <= 1e-8
+
+
+@pytest.mark.parametrize("integrator", ["rk45", "exact"])
+@pytest.mark.parametrize("kind", ["out", "in"])
+def test_simulate_schrodinger_on_directed_kind_exits_two(kind, integrator,
+                                                         tmp_path, capsys):
+    # -i L^alpha is not skew-Hermitian on a digraph: no norm is conserved.
+    path = tmp_path / "dg.edges"
+    path.write_text("1 2\n2 3\n3 1\n1 3 0.5\n")
+    out = tmp_path / "psi.csv"
+    assert main(["simulate", "--graph", str(path), "--directed",
+                 "--laplacian", kind, "--model", "schrodinger",
+                 "--integrator", integrator, "--out", str(out)]) == 2
+    assert "conserves no norm" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dg.edges"]
 
 
 def test_simulate_kpath_saw_bdf_records_positivity(tmp_path):
@@ -440,6 +457,17 @@ def test_config_file_unknown_key_exits_two(c4_path, tmp_path, capsys):
                  "--out", str(out)]) == 2
     assert "unknown keys ['t_edn']" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_config_file_not_utf8_exits_two_naming_it(c4_path, tmp_path,
+                                                  capsys):
+    config = tmp_path / "run.json"
+    config.write_bytes(b"\xff\xfe")
+    assert main(["simulate", "--config", str(config), "--graph", c4_path,
+                 "--out", str(tmp_path / "x.csv")]) == 2
+    assert f"config file {config}: " in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c4.edges",
+                                                          "run.json"]
 
 
 @pytest.mark.parametrize("entry", [

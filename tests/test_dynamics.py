@@ -453,6 +453,28 @@ def test_exact_eigen_route_matches_bdf(name, model):
         assert exact.states.min() >= -1e-12
 
 
+@pytest.mark.parametrize("alpha", [1e-6, 0.3, 1.0])
+@pytest.mark.parametrize("model", ["heat", "schrodinger"])
+def test_eigen_system_on_complex_eigenvalues_matches_the_power(model, alpha):
+    # The eigen-coordinate engine on an eigen-route digraph: entering the
+    # basis, taking the decoupled right-hand side and leaving it again is
+    # the state-space right-hand side -factor p L^alpha.
+    from fraclap.dynamics import _EigenSystem
+    from fraclap.schedules import ClampCountingSchedule
+
+    gen = GeneralGenerator.from_matrix(directed_laplacians(_digraph30())[0])
+    assert gen.route == "eigen"
+    assert np.iscomplexobj(gen.clamped_eigenvalues())
+    factor = 1.0 if model == "heat" else 1j
+    system = _EigenSystem(gen, ClampCountingSchedule(ConstantSchedule(alpha)),
+                          factor, StepStats())
+    p = random_initial_state(model, gen.n, seed=6)
+    got = system.exit(system.rhs(0.0, system.enter(p)))
+    want = -factor * (p @ gen.matrix(alpha))
+    assert np.abs(got - want).max() \
+        <= 1e-12 * gen.eigvec_condition * np.abs(want).max()
+
+
 def test_exact_eigen_route_constant_alpha_matches_expm():
     lap = _eigen_route_laplacians()["digraph"]
     gen = GeneralGenerator.from_matrix(lap)

@@ -117,6 +117,15 @@ def test_load_malformed_entry_names_path_and_line(tmp_path, name, text, line):
     assert str(err.value).startswith(f"{path}:{line}: ")
 
 
+def test_load_non_utf8_file_names_path_and_line(tmp_path):
+    path = tmp_path / "latin.edges"
+    path.write_bytes(b"1 2\n2 3 \xff\n")
+    with pytest.raises(GraphParseError, match="not UTF-8") as err:
+        load_graph(path)
+    assert err.value.line == 2
+    assert str(err.value).startswith(f"{path}:2: ")
+
+
 def test_load_edge_list_duplicate_rejected(tmp_path):
     path = tmp_path / "dup.edges"
     path.write_text("1 2\n2 1\n")
