@@ -211,10 +211,18 @@ def _build_problem(g: graphs.Graph, args):
     return problem, config
 
 
-def _conservation_error(traj, model) -> float:
-    if model == "heat":
+def _conservation_error(traj, args, g, problem) -> float:
+    """Largest drift of the conserved quantity: the mass of a heat state;
+    the 2-norm of a Schrodinger state, or for nrw the norm of psi D^-1/2
+    relative to its start, since L_rw = D^-1/2 L_sym D^1/2."""
+    if args.model == "heat":
         return float(np.abs(traj.states.real.sum(axis=1) - 1.0).max())
-    return float(np.abs(np.linalg.norm(traj.states, axis=1) - 1.0).max())
+    states, start = traj.states, 1.0
+    if args.laplacian == "nrw":
+        scale = np.diag(graphs.adjacency_and_degrees(g)[1]) ** -0.5
+        states = states * scale
+        start = np.linalg.norm(problem.initial_state * scale)
+    return float(np.abs(np.linalg.norm(states, axis=1) / start - 1.0).max())
 
 
 def _sidecar(traj, args, g, problem) -> dict:
@@ -237,7 +245,7 @@ def _sidecar(traj, args, g, problem) -> dict:
         "t_end": args.t_end,
     }
     key = "mass_max_error" if args.model == "heat" else "norm_max_error"
-    payload[key] = _conservation_error(traj, args.model)
+    payload[key] = _conservation_error(traj, args, g, problem)
     if args.model == "heat":
         payload["min_heat_entry"] = float(traj.states.real.min())
         payload["entries_below_atol"] = int(

@@ -37,7 +37,6 @@ from .matfun import (
     EIGVEC_CONDITION_LIMIT,
     EigenFactorization,
     TriangularFactorization,
-    _principal_power,
     _real_part,
     fractional_power_sym,
     general_factorization,
@@ -446,35 +445,23 @@ def _integrate(problem, config):
 def _exponent_integrals(lam, schedule, times, stats=None):
     """I_i(t) = int_0^t lam_i^{alpha(tau)} dtau at each time, one row per time.
 
-    Complex eigenvalues (principal branch, 0^alpha := 0) are integrated as
-    one real integrand [Re lam^alpha, Im lam^alpha] and returned complex.
-    A quadrature failure surfaces as ConvergenceError naming the eigenvalue,
-    or carrying the quadrature's message when no component failed.
+    lam is real or complex (numpy's principal branch; the clamped zeros
+    give 0^alpha = 0), and the integrals have its dtype.  A quadrature
+    failure surfaces as ConvergenceError naming the eigenvalue, or carrying
+    the quadrature's message when no component failed.
     """
     times = np.asarray(times, dtype=float)
-    if np.iscomplexobj(lam):
-        def integrand(tau):
-            powered = _principal_power(lam, schedule(tau)[:, None])
-            return np.concatenate([powered.real, powered.imag], axis=1)
-    else:
-        def integrand(tau):
-            return lam ** schedule(tau)[:, None]
-
     try:
-        integrals = adaptive_simpson(
-            integrand, 0.0, times,
+        return adaptive_simpson(
+            lambda tau: lam ** schedule(tau)[:, None], 0.0, times,
             breakpoints=schedule.breakpoints(0.0, times[-1]), stats=stats)
     except QuadratureError as exc:
         if exc.component is None:
             raise ConvergenceError(
                 f"exponent quadrature failed: {exc}") from exc
-        bad = exc.component % lam.size
         raise ConvergenceError(
-            f"exponent quadrature failed for eigenvalue {lam[bad]!r} "
-            f"on interval {exc.interval}") from exc
-    if np.iscomplexobj(lam):
-        return integrals[:, :lam.size] + 1j * integrals[:, lam.size:]
-    return integrals
+            f"exponent quadrature failed for eigenvalue "
+            f"{lam[exc.component]!r} on interval {exc.interval}") from exc
 
 
 def _diagonalized(generator):
@@ -502,12 +489,11 @@ def exact_solution(problem: DynamicsProblem, sample_times=None) -> Trajectory:
     equation whose exponent integral I_i(t) = int_0^t lambda_i^{alpha(tau)}
     dtau comes from one batched adaptive Gauss-Kronrod (G7-K15) pass over
     all sample times and eigenvalues, with total error estimate below
-    1e-10 per eigenvalue (per real and imaginary part when lambda is
-    complex).  Every sample is then formed in the integrators' eigen-
-    coordinates (_EigenSystem) as exit(enter(p0) * exp(-I)) (exp(-iI) for
-    the Schrodinger model), where exit multiplies by W = V^T for a
-    symmetric generator and W = V^-1 for an eigenvalue-route non-symmetric
-    one.  A hop-coupling generator under a constant exponent a is the
+    1e-10 per eigenvalue (in modulus when lambda is complex).  Every sample
+    is then formed in the integrators' eigen-coordinates (_EigenSystem) as
+    exit(enter(p0) * exp(-I)) (exp(-iI) for the Schrodinger model), where
+    exit multiplies by W = V^T for a symmetric generator and W = V^-1 for
+    an eigenvalue-route non-symmetric one.  A hop-coupling generator under a constant exponent a is the
     symmetric generator K(a)^1, so its solution is p0 V exp(-t Lambda) V^T;
     under a varying exponent it is rejected, as are Schur-route
     generators.  A heat state keeps its real part; an

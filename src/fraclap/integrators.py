@@ -125,7 +125,7 @@ def _check_samples(sample_times, t_end):
 
 
 def rk45_integrate(rhs, t_end, y0, sample_times, *, rtol=1e-6, atol=1e-9,
-                   first_step=None, stats=None):
+                   stats=None):
     """Dormand-Prince 5(4) with PI step control and max-norm error measure.
 
     Returns the (len(sample_times), n) array of interpolated states.  Raises
@@ -144,8 +144,7 @@ def rk45_integrate(rhs, t_end, y0, sample_times, *, rtol=1e-6, atol=1e-9,
 
     f = np.asarray(rhs(0.0, y))
     stats.rhs_evals += 1
-    h = first_step if first_step is not None else _default_first_step(t_end)
-    h = min(h, t_end)
+    h = _default_first_step(t_end)
     t = 0.0
     err_prev = None
     rejected_last = False

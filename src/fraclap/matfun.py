@@ -206,16 +206,6 @@ def general_factorization(m: np.ndarray) -> tuple[
                               inverse=inverse, condition=condition), condition
 
 
-def _principal_power(lam, alpha):
-    """lam^alpha on the principal branch with 0^alpha := 0, elementwise.
-
-    alpha is a float or an array that broadcasts against lam.
-    """
-    lam = np.asarray(lam, dtype=complex)
-    zero = np.abs(lam) <= EIGENVALUE_CLAMP
-    return np.where(zero, 0.0, np.exp(alpha * np.log(np.where(zero, 1.0, lam))))
-
-
 def _triangular_power(fac: TriangularFactorization,
                       alpha: float) -> np.ndarray:
     """f(T) for f(z) = z^alpha with 0^alpha := 0, T = [[Z, B], [0, C]].
@@ -246,15 +236,17 @@ def power_from_factorization(fac: TriangularFactorization | EigenFactorization,
                              alpha: float) -> np.ndarray:
     """Fractional power rebuilt from a precomputed factorization, as float64.
 
-    An EigenFactorization gives (V diag(lambda^alpha)) W, one product; a
-    TriangularFactorization gives Q f(T) Q* (_triangular_power).  The power
-    of a real matrix with no eigenvalue on the negative real axis, such as
-    any Laplacian here, is real (Higham, Functions of Matrices, Thm 1.18),
-    so an imaginary part past rounding (_real_part) is NumericError.
+    An EigenFactorization gives (V diag(lambda^alpha)) W, one product, with
+    lambda^alpha numpy's principal branch of the clamped eigenvalues (so
+    0^alpha = 0); a TriangularFactorization gives Q f(T) Q*
+    (_triangular_power).  The power of a real matrix with no eigenvalue on
+    the negative real axis, such as any Laplacian here, is real (Higham,
+    Functions of Matrices, Thm 1.18), so an imaginary part past rounding
+    (_real_part) is NumericError.
     """
     alpha = _check_alpha(alpha)
     if isinstance(fac, EigenFactorization):
-        out = (fac.vectors * _principal_power(fac.eigenvalues, alpha)) \
+        out = (fac.vectors * np.power(fac.clamped_eigenvalues(), alpha)) \
             @ fac.inverse
     else:
         ft = _triangular_power(fac, alpha)

@@ -17,7 +17,9 @@ from .errors import QuadratureError
 
 __all__ = ["adaptive_simpson"]
 
-_DEFAULT_TOL = 1e-10
+# Absolute error budget per component over the whole range, and the most
+# panels one call evaluates.
+_TOL = 1e-10
 _MAX_INTERVALS = 2 ** 20
 # Integrand values per call: nodes x components stays below this.
 _BLOCK_VALUES = 2 ** 16
@@ -45,31 +47,31 @@ _WEIGHTS = np.stack([np.concatenate([_WK[:-1], _WK[::-1]]),
                                      (_WK - _WG)[::-1]])])
 
 
-def adaptive_simpson(f, a: float, b, *, tol: float = _DEFAULT_TOL,
-                     breakpoints=(), max_intervals: int = _MAX_INTERVALS,
-                     stats=None):
+def adaptive_simpson(f, a: float, b, *, breakpoints=(), stats=None):
     """Integrate f from a to b, or from a to each entry of an array b.
 
     The rule is adaptive G7-K15 Gauss-Kronrod (the name is historical).
     Panels start at the end points and breakpoints; a panel of width w is
     accepted when max |K15 - G7| over the components is at most
-    tol * w / (b_max - a), so the total error estimate stays below the
-    componentwise absolute tolerance tol.
+    _TOL * w / (b_max - a), so the total error estimate stays below
+    that absolute tolerance in every component.  A complex integrand is
+    integrated as it is, and |K15 - G7| is then the modulus of the error.
+    At most _MAX_INTERVALS panels are evaluated, bisections included;
+    exhausting them raises QuadratureError carrying the offending panel and
+    worst component index.
 
     Args:
-        f: callable taking a 1-D array of k times and returning k values or
-            a (k, m) array (m components).
+        f: callable taking a 1-D array of k times and returning k real or
+            complex values or a (k, m) array (m components).
         b: one end point, or a non-decreasing 1-D array of end points >= a.
         breakpoints: points forced to be panel boundaries.
-        max_intervals: budget of panels evaluated, bisections included;
-            exhausting it raises QuadratureError carrying the offending
-            panel and worst component index.
         stats: optional object whose ``quadrature_panels`` counter is
             increased by the number of panels evaluated.
 
     Returns:
-        For scalar b the integral (a float, or an (m,) array); for array b
-        the cumulative integrals from a to each end point, one row each.
+        For scalar b the integral (a float or complex, or an (m,) array);
+        for array b the cumulative integrals from a to each end point, one
+        row each.  Results have the integrand's dtype (at least float64).
     """
     ends = np.atleast_1d(np.asarray(b, dtype=float))
     if ends.ndim != 1 or ends.size == 0:
@@ -87,9 +89,9 @@ def adaptive_simpson(f, a: float, b, *, tol: float = _DEFAULT_TOL,
     owner = np.searchsorted(ends, hi, side="left")
     span = top - a
 
-    if lo.size > max_intervals:
+    if lo.size > _MAX_INTERVALS:
         raise QuadratureError(
-            f"quadrature needs {lo.size} panels, budget is {max_intervals}",
+            f"quadrature needs {lo.size} panels, budget is {_MAX_INTERVALS}",
             interval=(float(a), top), component=None)
     evaluated = 0
     parts = []
@@ -99,13 +101,13 @@ def adaptive_simpson(f, a: float, b, *, tol: float = _DEFAULT_TOL,
         evaluated += lo.size
         worst = errors.max(axis=1)
         width = hi - lo
-        done = (worst <= tol * width / span) \
+        done = (worst <= _TOL * width / span) \
             | (width <= 1e-14 * (1.0 + np.abs(lo)))
         parts.append((owner[done], values[done]))
         bad = ~done
         if not bad.any():
             break
-        if evaluated + 2 * int(bad.sum()) > max_intervals:
+        if evaluated + 2 * int(bad.sum()) > _MAX_INTERVALS:
             if stats is not None:
                 stats.quadrature_panels += evaluated
             i = int(np.flatnonzero(bad)[np.argmax(worst[bad])])
@@ -121,24 +123,26 @@ def adaptive_simpson(f, a: float, b, *, tol: float = _DEFAULT_TOL,
         stats.quadrature_panels += evaluated
 
     if not parts:  # every end point equals a
-        fa = np.asarray(f(np.array([float(a)])), dtype=float)
+        fa = np.asarray(f(np.array([float(a)])))
         scalar = fa.ndim == 1
-        parts.append((owner, np.empty((0, 1 if scalar else fa.shape[1]))))
-    totals = np.zeros((ends.size, parts[0][1].shape[1]))
+        parts.append((owner, np.empty((0, 1 if scalar else fa.shape[1]),
+                                      np.result_type(fa, float))))
+    totals = np.zeros((ends.size, parts[0][1].shape[1]), parts[0][1].dtype)
     for idx, vals in parts:
         np.add.at(totals, idx, vals)
     cumulative = np.cumsum(totals, axis=0)
     if scalar:
         cumulative = cumulative[:, 0]
     if np.ndim(b) == 0:
-        return float(cumulative[0]) if scalar else cumulative[0]
+        return cumulative[0].item() if scalar else cumulative[0]
     return cumulative
 
 
 def _evaluate(f, lo, hi):
     """K15 values and |K15 - G7| estimates of f on the panels [lo, hi].
 
-    Returns two (panels, m) arrays and whether f is scalar-valued (m = 1).
+    Returns the values, in f's dtype (at least float64), the real
+    estimates, both (panels, m), and whether f is scalar-valued (m = 1).
     """
     centre = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
@@ -148,11 +152,12 @@ def _evaluate(f, lo, hi):
     while start < lo.size:
         stop = min(lo.size, start + per_block)
         ts = centre[start:stop, None] + half[start:stop, None] * _NODES
-        fx = np.asarray(f(ts.ravel()), dtype=float)
+        fx = np.asarray(f(ts.ravel()))
         if values is None:
             scalar = fx.ndim == 1
             m = 1 if scalar else fx.shape[1]
-            values, errors = np.empty((lo.size, m)), np.empty((lo.size, m))
+            values = np.empty((lo.size, m), np.result_type(fx, float))
+            errors = np.empty((lo.size, m))
             per_block = max(1, _BLOCK_VALUES // (_NODES.size * m))
         both = np.tensordot(_WEIGHTS, fx.reshape(stop - start, _NODES.size, -1),
                             axes=([1], [1]))

@@ -103,10 +103,10 @@ def floquet_exponents(generator: SpectralGenerator | GeneralGenerator,
     from the generator's factorization (eigenvalues, or the diagonal of the
     triangular factor on the Schur route), and the integrals from the
     batched Gauss-Kronrod quadrature of exact_solution (tolerance 1e-10 per
-    eigenvalue and part).  Imaginary
-    parts are reduced to the principal branch (-pi/T, pi/T], so each
-    exponent equals log(multiplier) / T.  Exponents are sorted by
-    decreasing real part (the conserved direction comes first).
+    eigenvalue, in modulus when it is complex).  Imaginary parts are
+    reduced to the principal branch (-pi/T, pi/T], so each exponent equals
+    log(multiplier) / T.  Exponents are sorted by decreasing real part (the
+    conserved direction comes first).
     """
     if not isinstance(generator, _FactoredGenerator):
         raise ValueError("Floquet exponents need a SpectralGenerator or a "
@@ -116,8 +116,7 @@ def floquet_exponents(generator: SpectralGenerator | GeneralGenerator,
     integrals = _exponent_integrals(generator.clamped_eigenvalues(), schedule,
                                     [period])[0]
     exponents = (-integrals / period).astype(complex)
-    if np.iscomplexobj(integrals):
-        exponents.imag = np.angle(np.exp(-1j * integrals.imag)) / period + 0.0
+    exponents.imag = np.angle(np.exp(-1j * integrals.imag)) / period + 0.0
     return exponents[np.argsort(-exponents.real, kind="stable")]
 
 

@@ -248,7 +248,7 @@ def write_trajectory(traj: Trajectory, model: str, path, fmt: str = "csv") -> No
                                             _csv_rows(table)))
     elif fmt == "json":
         payload = {"model": model, "columns": columns,
-                   "rows": [[float(v) for v in row] for row in table]}
+                   "rows": table.tolist()}
         _write_atomic(path, [json.dumps(payload), "\n"])
     else:
         raise ValueError(f"unknown output format {fmt!r}")
@@ -277,7 +277,7 @@ def write_matrix(m: np.ndarray, path, fmt: str = "csv") -> None:
         _write_atomic(path, _csv_rows(m))
     elif fmt == "json":
         payload = {"rows": m.shape[0], "cols": m.shape[1],
-                   "entries": [[float(v) for v in row] for row in m]}
+                   "entries": m.astype(float, copy=False).tolist()}
         _write_atomic(path, [json.dumps(payload), "\n"])
     else:
         raise ValueError(f"unknown output format {fmt!r}")
@@ -288,7 +288,7 @@ def write_spectrum(values: np.ndarray, path, fmt: str = "csv") -> None:
     if fmt == "csv":
         _write_atomic(path, ["\n".join(format_float(v) for v in values), "\n"])
     elif fmt == "json":
-        payload = {"eigenvalues": [float(v) for v in values]}
+        payload = {"eigenvalues": values.tolist()}
         _write_atomic(path, [json.dumps(payload), "\n"])
     else:
         raise ValueError(f"unknown output format {fmt!r}")

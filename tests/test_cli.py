@@ -238,6 +238,19 @@ def test_simulate_kpath_saw_bdf_records_positivity(tmp_path):
     assert stats["mass_max_error"] <= 1e-12
 
 
+@pytest.mark.parametrize("integrator, bound", [("exact", 1e-12),
+                                               ("rk45", 1e-6), ("bdf", 1e-5)])
+def test_simulate_nrw_schrodinger_reports_the_conserved_norm(
+        integrator, bound, tmp_path):
+    # -i L_rw^alpha conserves |psi D^-1/2|, not |psi|, which drifts by 5%.
+    out = str(tmp_path / "psi.csv")
+    assert main(["simulate", "--graph", KARATE, "--laplacian", "nrw",
+                 "--model", "schrodinger", "--integrator", integrator,
+                 "--t-end", "2", "--seed", "3", "--out", out]) == 0
+    stats = json.load(open(out + ".stats.json"))
+    assert stats["norm_max_error"] <= bound
+
+
 def test_sidecar_counts_heat_entries_below_atol(c4_path):
     g = load_graph(c4_path)
     problem = DynamicsProblem(

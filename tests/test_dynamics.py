@@ -32,7 +32,6 @@ from fraclap import (
     SplineSchedule,
     StiffnessError,
     TriangularSchedule,
-    adaptive_simpson,
     combinatorial_laplacian,
     directed_laplacians,
     exact_solution,
@@ -128,10 +127,9 @@ def test_exact_rejects_too_fine_schedule_before_quadrature(c4):
 
 
 def test_exact_passes_on_quadrature_message_without_component(c4, monkeypatch):
-    def small_budget(*args, **kwargs):
-        return adaptive_simpson(*args, **kwargs, max_intervals=4)
-
-    monkeypatch.setattr(fraclap.dynamics, "adaptive_simpson", small_budget)
+    # At least SINE's 7 breakpoints on [0, 1], which the schedule checks
+    # against the same budget, and fewer than the run's 16 panels.
+    monkeypatch.setattr(fraclap.quadrature, "_MAX_INTERVALS", 8)
     problem = DynamicsProblem("heat", c4_generator(c4), SINE,
                               np.full(4, 0.25), 1.0)
     with pytest.raises(ConvergenceError) as err:
@@ -473,6 +471,20 @@ def test_eigen_system_on_complex_eigenvalues_matches_the_power(model, alpha):
     want = -factor * (p @ gen.matrix(alpha))
     assert np.abs(got - want).max() \
         <= 1e-12 * gen.eigvec_condition * np.abs(want).max()
+
+
+def test_exact_names_the_complex_eigenvalue_its_quadrature_failed_on(
+        monkeypatch):
+    # One panel on [0, 5] and no budget left to bisect it.
+    monkeypatch.setattr(fraclap.quadrature, "_MAX_INTERVALS", 2)
+    gen = GeneralGenerator.from_matrix(directed_laplacians(_digraph30())[0])
+    lam = gen.clamped_eigenvalues()
+    assert np.iscomplexobj(lam)
+    problem = DynamicsProblem("heat", gen, ExpSaturatingSchedule(10.0),
+                              random_initial_state("heat", gen.n, seed=1), 5.0)
+    with pytest.raises(ConvergenceError, match="for eigenvalue") as err:
+        exact_solution(problem, [0.0, 5.0])
+    assert any(f"eigenvalue {v!r} on interval" in str(err.value) for v in lam)
 
 
 def test_exact_eigen_route_constant_alpha_matches_expm():

@@ -72,10 +72,12 @@ def test_rk45_dense_output_between_steps():
 
 
 def test_rk45_counts_rejections_under_tight_tolerance():
+    # The decay rate jumps from 1 to 50 at t = 1: the steps grown on the
+    # slow part overshoot the jump and are rejected.
     stats = StepStats()
-    rk45_integrate(lambda t, y: np.array([np.cos(40 * t) * y[0]]), 2.0,
+    rk45_integrate(lambda t, y: -y * (1.0 if t < 1.0 else 50.0), 2.0,
                    np.array([1.0]), np.array([2.0]), rtol=1e-11, atol=1e-13,
-                   first_step=0.5, stats=stats)
+                   stats=stats)
     assert stats.rejected >= 1
 
 

@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import cycle_graph, ring_with_chords, weak_ring
+from conftest import (
+    cycle_graph,
+    directed_ring_with_chords,
+    ring_with_chords,
+    weak_ring,
+)
 from fraclap import (
     EigenFactorization,
     Graph,
@@ -14,7 +19,7 @@ from fraclap import (
     sym_eig,
     triangular_factorization,
 )
-from fraclap.matfun import power_from_factorization
+from fraclap.matfun import general_factorization, power_from_factorization
 
 
 def c4_power_closed_form(alpha: float) -> np.ndarray:
@@ -152,6 +157,24 @@ def test_general_power_digraph_row_sums_and_cross_check(digraph5):
     reference = (vectors * powered) @ np.linalg.inv(vectors)
     assert np.abs(reference.imag).max() <= 1e-8
     assert np.abs(power - reference.real).max() <= 1e-8
+
+
+def test_general_power_at_alpha_one_is_the_laplacian():
+    # Eigen route: (V lambda) V^-1 rebuilds L up to rounding amplified by
+    # kappa(V).
+    rng = np.random.default_rng(11)
+    n = 40
+    chords = {}
+    while len(chords) < n:
+        u, v = (int(x) for x in rng.integers(0, n, size=2))
+        if u != v and v != (u + 1) % n:
+            chords[(u, v)] = float(rng.uniform(0.5, 2.0))
+    lap = directed_laplacians(directed_ring_with_chords(
+        n, [(u, v, w) for (u, v), w in chords.items()]))[0]
+    fac, kappa = general_factorization(lap)
+    assert isinstance(fac, EigenFactorization)
+    error = np.abs(power_from_factorization(fac, 1.0) - lap).max()
+    assert error <= 100 * np.finfo(float).eps * kappa * n * np.abs(lap).max()
 
 
 def test_general_power_rejects_bad_alpha(digraph5):
