@@ -255,7 +255,7 @@ def _sidecar(traj, args, g, problem) -> dict:
         try:
             envelope = stability.decay_envelope(traj, stability.steady_state(g))
             payload["empirical_decay_rate"] = envelope.rate
-        except (ValueError, NumericError):
+        except ValueError:
             pass
     return payload
 

@@ -334,6 +334,12 @@ def _probe_window(schedule: AlphaSchedule) -> tuple[float, float]:
 
 def _probe_range(schedule: AlphaSchedule) -> None:
     lo, hi = _probe_window(schedule)
+    # expsat's window (0, 10/rate) overflows for a rate below ~5.6e-308;
+    # its probe points would be NaN and pass every comparison.
+    if not math.isfinite(hi):
+        raise ScheduleError(
+            f"{schedule.family} probe window ({lo!r}, {hi!r}) overflows; "
+            "adjust its parameters")
     if hi <= lo:
         return
     raws = schedule.raw(np.linspace(lo, hi, _PROBE_POINTS))

@@ -13,7 +13,6 @@ from .dynamics import (
     _exponent_integrals,
     _FactoredGenerator,
 )
-from .errors import NumericError
 from .graphs import Graph, connectivity, directed_laplacians
 # Not called here: kept as stability.rk45_integrate, the attribute that
 # benchmarks/test_bench_checks.py checks the tracer patches and restores.
@@ -34,8 +33,11 @@ def steady_state(g: Graph) -> np.ndarray:
     """Limit distribution of the heat dynamics on a connected graph.
 
     Undirected: the uniform vector 1/n.  Directed (strongly connected): the
-    left null vector of the out-degree Laplacian, normalized to sum 1; it is
-    also the left null vector of every fractional power.
+    left null vector pi of the out-degree Laplacian with sum(pi) = 1, which
+    is also the left null vector of every fractional power.  L_out has rank
+    n - 1 and zero row sums, so replacing its last column by ones gives a
+    nonsingular M, and pi M = e_n is one real linear solve (Stewart,
+    Introduction to the Numerical Solution of Markov Chains, 1994).
     """
     report = connectivity(g)
     if not report.is_connected:
@@ -45,22 +47,11 @@ def steady_state(g: Graph) -> np.ndarray:
             "restrict to the largest component first")
     if not g.directed:
         return np.full(g.n, 1.0 / g.n)
-    l_out, _ = directed_laplacians(g)
-    values, vectors = np.linalg.eig(l_out.T)
-    idx = int(np.argmin(np.abs(values)))
-    scale = max(1.0, np.abs(l_out).max())
-    if np.abs(values[idx]) > 1e-8 * scale:
-        raise NumericError(
-            f"no numerical null vector: smallest |eigenvalue| = {np.abs(values[idx]):.3e}")
-    vec = vectors[:, idx]
-    vec = vec / vec[int(np.argmax(np.abs(vec)))]
-    if np.abs(vec.imag).max() > 1e-8:
-        raise NumericError("left null vector has a non-negligible imaginary part")
-    vec = vec.real
-    total = vec.sum()
-    if abs(total) < 1e-12:
-        raise NumericError("left null vector sums to zero; cannot normalize")
-    return vec / total
+    bordered, _ = directed_laplacians(g)
+    bordered[:, -1] = 1.0
+    e_n = np.zeros(g.n)
+    e_n[-1] = 1.0
+    return np.linalg.solve(bordered.T, e_n)
 
 
 def antiderivative_commutator_residual(d: EigenFactorization,

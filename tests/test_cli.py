@@ -637,6 +637,16 @@ def test_non_finite_schedule_parameter_exits_two(descriptor, c4_path,
     assert not out.exists()
 
 
+def test_expsat_rate_whose_probe_window_overflows_exits_two(c4_path, tmp_path,
+                                                           capsys):
+    out = tmp_path / "x.csv"
+    assert main(["simulate", "--graph", c4_path, "--alpha", "expsat:1e-320",
+                 "--t-end", "1", "--out", str(out)]) == 2
+    assert "probe window" in capsys.readouterr().err
+    assert not out.exists()
+    assert not (tmp_path / "x.csv.stats.json").exists()
+
+
 def test_exit_code_io_failure(c4_path, tmp_path):
     out = str(tmp_path / "no" / "such" / "dir" / "x.csv")
     rc = main(["simulate", "--graph", c4_path, "--t-end", "1", "--out", out])

@@ -143,6 +143,13 @@ def test_parse_names_family_on_wrong_parameter_count(descriptor, message):
         parse_schedule(descriptor)
 
 
+def test_parse_rejects_expsat_rate_whose_probe_window_overflows():
+    # 10 / 1e-310 is inf: the probe points would be NaN and pass unchecked
+    with pytest.raises(ScheduleError, match="expsat probe window"):
+        parse_schedule("expsat:1e-310")
+    assert parse_schedule("expsat:1e-300") == ExpSaturatingSchedule(1e-300)
+
+
 def test_parse_rejects_unsorted_spline_knots():
     with pytest.raises(ScheduleError, match="increasing"):
         parse_schedule("spline:0=0.5;0=0.6;1=0.7")
