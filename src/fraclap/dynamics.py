@@ -4,15 +4,12 @@ The state convention is the row-vector one: p'(t) = -p(t) @ G(t) where the
 generator G(t) is either a fractional Laplacian power L^{alpha(t)} or the
 alpha(t)-weighted hop-coupling operator.  All powers of one diagonalizable
 Laplacian V diag(lambda) W share its eigenbasis, where the system decouples
-into q_i' = -lambda_i^{alpha(t)} q_i.  One eigen-coordinate system
-(_EigenSystem) serves the closed form of every diagonalizable generator and
-the rk45 and bdf runs of symmetric ones: entry and exit cost O(n^2) once,
-each right-hand side O(n).  A hop-coupling operator under a constant
-exponent a is the one symmetric matrix K(a), so it is solved as the
-generator K(a)^1; under a varying exponent it integrates in state space.
-Non-symmetric generators integrate in state space (error control stays on
-p, where an eigenbasis with condition number kappa(V) would amplify it),
-assembling a diagonalizable L^alpha as one product V diag(lambda^alpha) V^-1.
+into q_i' = -lambda_i^{alpha(t)} q_i.  _system makes the one route decision
+of every run: eigen-coordinates (_EigenSystem, entry and exit O(n^2) once,
+each right-hand side O(n)) or state space (_DenseSystem).  rk45 and bdf on
+a non-symmetric generator run in state space, where error control stays on
+p rather than being amplified by kappa(V), the condition number of the
+eigenbasis; there L^alpha is one product V diag(lambda^alpha) V^-1.
 scipy loads on first use, when a state-space bdf step factorizes.
 """
 
@@ -38,6 +35,7 @@ from .matfun import (
     EigenFactorization,
     TriangularFactorization,
     _real_part,
+    _semidefinite,
     fractional_power_sym,
     general_factorization,
     power_from_factorization,
@@ -99,11 +97,16 @@ class _FactoredGenerator:
 
 @dataclass(frozen=True)
 class SpectralGenerator(_FactoredGenerator):
-    """L^alpha for a symmetric Laplacian; all powers share one eigenbasis."""
+    """L^alpha for a symmetric positive semidefinite Laplacian; all powers
+    share one eigenbasis."""
 
     factorization: EigenFactorization
     route = "symmetric"
     eigvec_condition = None
+
+    def __post_init__(self):
+        _semidefinite(self.factorization)
+        super().__post_init__()
 
     @classmethod
     def from_matrix(cls, m: np.ndarray) -> "SpectralGenerator":
@@ -238,8 +241,10 @@ class IntegratorConfig:
             raise ValueError(f"rtol must be finite and >= 1e-13, got {self.rtol}")
         if not 0 < self.atol < np.inf:
             raise ValueError(f"atol must be positive and finite, got {self.atol}")
-        if self.samples < 2:
-            raise ValueError("need at least 2 output samples")
+        # an integer type, as operator.index requires: no float, no str
+        if not hasattr(type(self.samples), "__index__") or self.samples < 2:
+            raise ValueError(f"need an integer of at least 2 output samples, "
+                             f"got {self.samples!r}")
 
 
 @dataclass(frozen=True)
@@ -348,7 +353,7 @@ class _DenseSystem(_System):
         self.reuses_stale = generator.n >= STALE_SOLVER_MIN_N
         self.matrix = functools.lru_cache(maxsize=1)(generator.matrix)
         # The only symmetric generator that runs in state space.
-        self.symmetric = isinstance(generator, KPathGenerator)
+        self.symmetric = generator.route == "kpath"
         self.n = generator.n
 
     def enter(self, state):
@@ -377,31 +382,43 @@ class _DenseSystem(_System):
                                                check_finite=False)
 
 
-def _make_system(generator, schedule, factor, stats):
-    if isinstance(generator, SpectralGenerator):
-        return _EigenSystem(generator, schedule, factor, stats)
-    return _DenseSystem(generator, schedule, factor, stats)
-
-
-def _solved_form(problem):
-    """(generator, schedule, clamp counter) that simulate and exact solve.
+def _system(problem, method, stats):
+    """(system, clamp counter) of a run: the one route decision.
 
     A hop-coupling generator under a constant exponent a is one fixed
     symmetric matrix K(a): a is read once through the clamp counter, K(a)
-    assembled once and factored by sym_eig, and the problem solved as the
-    fractional generator K(a)^1 in that eigenbasis.  Every other problem is
-    solved as posed, with its schedule counted at each evaluation.
+    assembled once and factored by SpectralGenerator.from_matrix, and the
+    run solves the generator K(a)^1.  Other runs count their schedule at
+    each evaluation.  Symmetric generators run in eigen-coordinates for
+    every method, eigen-route ones for exact, and the rest in state space;
+    exact rejects the Schur route and kpath under a varying exponent.
     """
     counting = ClampCountingSchedule(problem.schedule)
-    generator = problem.generator
-    if not (isinstance(generator, KPathGenerator)
-            and isinstance(problem.schedule, ConstantSchedule)):
-        return generator, counting, counting
-    alpha = counting(0.0)
-    _log.debug("constant hop-coupling exponent alpha=%r: n=%d solved in "
-               "the eigenbasis of K(alpha)", alpha, generator.n)
-    return (SpectralGenerator.from_matrix(generator.matrix(alpha)),
-            ConstantSchedule(1.0), counting)
+    generator, schedule = problem.generator, counting
+    if generator.route == "kpath" and isinstance(problem.schedule,
+                                                 ConstantSchedule):
+        alpha = counting(0.0)
+        _log.debug("constant hop-coupling exponent alpha=%r: n=%d solved in "
+                   "the eigenbasis of K(alpha)", alpha, generator.n)
+        generator = SpectralGenerator.from_matrix(generator.matrix(alpha))
+        schedule = ConstantSchedule(1.0)
+    route = generator.route
+    if route == "symmetric" or (route == "eigen" and method == "exact"):
+        return (_EigenSystem(generator, schedule, problem.factor, stats),
+                counting)
+    if method != "exact":
+        return (_DenseSystem(generator, schedule, problem.factor, stats),
+                counting)
+    if route == "kpath":
+        raise ValueError(
+            "the closed-form solution of a hop-coupling generator needs a "
+            "constant exponent; under a varying one its operators do not "
+            "share an eigenbasis")
+    raise ValueError(
+        "the closed-form solution needs a symmetric generator or a "
+        f"diagonalizable one: kappa(V) = {generator.eigvec_condition:.3g} "
+        f"exceeds the limit {EIGVEC_CONDITION_LIMIT:.0e}, so this generator "
+        "is on the Schur route")
 
 
 def _sample_grid(problem, config):
@@ -419,9 +436,8 @@ def _integrate(problem, config):
     A StiffnessError from the core is raised again with the partial
     trajectory, mapped back to state space, attached.
     """
-    generator, schedule, counting = _solved_form(problem)
     stats = StepStats()
-    system = _make_system(generator, schedule, problem.factor, stats)
+    system, counting = _system(problem, config.method, stats)
     samples = _sample_grid(problem, config)
     y0 = system.enter(problem.initial_state)
     try:
@@ -464,23 +480,6 @@ def _exponent_integrals(lam, schedule, times, stats=None):
             f"{lam[exc.component]!r} on interval {exc.interval}") from exc
 
 
-def _diagonalized(generator):
-    """The generator, checked to have an eigenbasis for the closed form."""
-    if isinstance(generator, KPathGenerator):
-        raise ValueError(
-            "the closed-form solution of a hop-coupling generator needs a "
-            "constant exponent; under a varying one its operators do not "
-            "share an eigenbasis")
-    if isinstance(generator.factorization, TriangularFactorization):
-        raise ValueError(
-            "the closed-form solution needs a symmetric generator or a "
-            "diagonalizable one: kappa(V) = "
-            f"{generator.eigvec_condition:.3g} exceeds the limit "
-            f"{EIGVEC_CONDITION_LIMIT:.0e}, so this generator is on the "
-            "Schur route")
-    return generator
-
-
 def exact_solution(problem: DynamicsProblem, sample_times=None) -> Trajectory:
     """Closed-form solution p0 exp(-integral of L^{alpha(tau)} dtau).
 
@@ -493,24 +492,21 @@ def exact_solution(problem: DynamicsProblem, sample_times=None) -> Trajectory:
     is then formed in the integrators' eigen-coordinates (_EigenSystem) as
     exit(enter(p0) * exp(-I)) (exp(-iI) for the Schrodinger model), where
     exit multiplies by W = V^T for a symmetric generator and W = V^-1 for
-    an eigenvalue-route non-symmetric one.  A hop-coupling generator under a constant exponent a is the
-    symmetric generator K(a)^1, so its solution is p0 V exp(-t Lambda) V^T;
-    under a varying exponent it is rejected, as are Schur-route
-    generators.  A heat state keeps its real part; an
-    imaginary residue past the rounding bound of fractional powers
-    (matfun._real_part) raises NumericError.  stats.quadrature_panels counts
-    the panels evaluated and stats.clamp_count the clamped Gauss nodes (for
-    a constant hop-coupling exponent, its one clamped read).
+    an eigen-route one.  _system rejects the generators without a shared
+    eigenbasis.  A heat state keeps its real part; an imaginary residue
+    past the rounding bound of fractional powers (matfun._real_part) raises
+    NumericError.  stats.quadrature_panels counts the panels evaluated and
+    stats.clamp_count the clamped Gauss nodes (for a constant hop-coupling
+    exponent, its one clamped read).
     """
-    generator, schedule, counting = _solved_form(problem)
     stats = StepStats()
-    system = _EigenSystem(_diagonalized(generator), schedule, problem.factor,
-                          stats)
+    system, counting = _system(problem, "exact", stats)
     if sample_times is None:
-        sample_times = np.linspace(0.0, problem.horizon, 200)
+        sample_times = _sample_grid(problem, IntegratorConfig())
     samples = _check_samples(sample_times, problem.horizon)
 
-    integrals = _exponent_integrals(system.lam, schedule, samples, stats)
+    integrals = _exponent_integrals(system.lam, system.schedule, samples,
+                                    stats)
     states = system.exit(system.enter(problem.initial_state)
                          * np.exp(-problem.factor * integrals))
     if problem.model == "heat":
@@ -531,9 +527,7 @@ def simulate(problem: DynamicsProblem, config: IntegratorConfig) -> Trajectory:
     most four solves), factorizing afresh only for a step whose iteration
     fails its rate test (counted in stats.iteration_restarts).  Smaller
     state-space systems, and symmetric eigenbasis systems (an O(n)
-    division), factorize afresh.  A hop-coupling generator under a constant
-    exponent a runs, for every method, on the eigenbasis of the one matrix
-    K(a), assembled once; under a varying exponent it runs in state space.
+    division), factorize afresh.  _system picks each run's system.
     """
     if config.method == "exact":
         return exact_solution(problem, _sample_grid(problem, config))

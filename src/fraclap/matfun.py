@@ -82,16 +82,13 @@ class TriangularFactorization:
 class EigenFactorization:
     """Eigenvector columns V and W = V^-1 with V diag(lambda) W equal to the input.
 
-    condition is the 2-norm condition number of V, which bounds how much
-    rounding in V diag(f(lambda)) W is amplified.  For a symmetric input
-    (sym_eig) V is orthogonal, W is the transposed view V.T and condition
-    is 1.
+    For a symmetric input (sym_eig) V is orthogonal and W the transposed
+    view V.T.
     """
 
     eigenvalues: np.ndarray
     vectors: np.ndarray
     inverse: np.ndarray
-    condition: float
 
     @property
     def n(self) -> int:
@@ -129,8 +126,7 @@ def sym_eig(m: np.ndarray) -> EigenFactorization:
         raise ConvergenceError(
             f"symmetric eigensolver did not converge (input scale {residual:.3e})"
         ) from exc
-    return EigenFactorization(eigenvalues=lam, vectors=x, inverse=x.T,
-                              condition=1.0)
+    return EigenFactorization(eigenvalues=lam, vectors=x, inverse=x.T)
 
 
 def _check_alpha(alpha: float) -> float:
@@ -140,19 +136,24 @@ def _check_alpha(alpha: float) -> float:
     return alpha
 
 
+def _semidefinite(d: EigenFactorization) -> np.ndarray:
+    """Clamped eigenvalues, ValueError if one is genuinely negative."""
+    lam = d.clamped_eigenvalues()
+    if lam.min(initial=0.0) < 0:
+        raise ValueError(
+            f"matrix has a negative eigenvalue {lam.min():.3e}; "
+            "fractional powers need a positive semidefinite input")
+    return lam
+
+
 def fractional_power_sym(d: EigenFactorization, alpha: float) -> np.ndarray:
     """V diag(lambda^alpha) V^T of a sym_eig factorization, with 0^alpha := 0.
 
     Eigenvalues within EIGENVALUE_CLAMP of zero are zeroed first; genuinely
-    negative eigenvalues are rejected.
+    negative eigenvalues are rejected (_semidefinite).
     """
     alpha = _check_alpha(alpha)
-    lam = d.clamped_eigenvalues()
-    if lam[0] < 0:
-        raise ValueError(
-            f"matrix has a negative eigenvalue {lam[0]:.3e}; "
-            "fractional powers need a positive semidefinite input")
-    powered = lam ** alpha
+    powered = _semidefinite(d) ** alpha
     out = (d.vectors * powered) @ d.inverse
     return 0.5 * (out + out.T)
 
@@ -203,7 +204,7 @@ def general_factorization(m: np.ndarray) -> tuple[
     if condition > EIGVEC_CONDITION_LIMIT:
         return schur, condition
     return EigenFactorization(eigenvalues=lam, vectors=vectors,
-                              inverse=inverse, condition=condition), condition
+                              inverse=inverse), condition
 
 
 def _triangular_power(fac: TriangularFactorization,

@@ -43,7 +43,7 @@ from fraclap import (
     simulate,
     sym_eig,
 )
-from fraclap.dynamics import _make_system
+from fraclap.dynamics import _system
 from fraclap.integrators import StepStats
 from fraclap.matfun import EigenFactorization
 
@@ -148,6 +148,39 @@ def test_config_validation():
         IntegratorConfig(samples=1)
 
 
+@pytest.mark.parametrize("samples", [2.5, 10.0, "5", np.float64(5)])
+def test_config_rejects_non_integral_samples(samples):
+    with pytest.raises(ValueError, match="integer"):
+        IntegratorConfig(samples=samples)
+
+
+def test_config_accepts_numpy_integer_samples(c4):
+    problem = DynamicsProblem("heat", c4_generator(c4), SINE,
+                              np.full(4, 0.25), 1.0)
+    traj = simulate(problem, IntegratorConfig(samples=np.int64(5)))
+    assert traj.states.shape == (5, 4)
+    # exact_solution's default grid is the config's default
+    assert len(exact_solution(problem).times) == IntegratorConfig().samples
+
+
+@pytest.mark.parametrize("path", ["matrix", "rk45", "bdf", "exact",
+                                  "floquet"])
+def test_negative_eigenvalue_is_rejected_on_every_path(c4, path):
+    # L - 0.5 I has the eigenvalue -0.5: the generator refuses it when it
+    # is built, before any power, integrator or quadrature sees it
+    shifted = combinatorial_laplacian(c4) - 0.5 * np.eye(4)
+    with pytest.raises(ValueError, match="negative eigenvalue -5.000e-01"):
+        gen = SpectralGenerator.from_matrix(shifted)
+        if path == "matrix":
+            gen.matrix(0.5)
+        elif path == "floquet":
+            fraclap.floquet_exponents(gen, SINE, 0.5)
+        else:
+            problem = DynamicsProblem("heat", gen, SINE, np.full(4, 0.25),
+                                      1.0)
+            simulate(problem, IntegratorConfig(method=path))
+
+
 # ---------------------------------------------------------------------------
 # Generators
 # ---------------------------------------------------------------------------
@@ -178,8 +211,7 @@ def test_general_generator_nrw_ring_matches_symmetric(alpha):
 
 def state_rhs(problem):
     """(t, p) -> -p @ G(t) through the system the integrators run on."""
-    system = _make_system(problem.generator, problem.schedule, problem.factor,
-                          StepStats())
+    system, _ = _system(problem, "rk45", StepStats())
     return lambda t, state: system.exit(system.rhs(t, system.enter(state)))
 
 
@@ -322,8 +354,7 @@ def test_bdf_reuses_factorizations_for_constant_exponent(c4):
 def test_stiffness_error_carries_trajectory():
     # One mode with an enormous rate forces the explicit step below the floor.
     decomp = EigenFactorization(eigenvalues=np.array([0.0, 1e16]),
-                                vectors=np.eye(2), inverse=np.eye(2),
-                                condition=1.0)
+                                vectors=np.eye(2), inverse=np.eye(2))
     problem = DynamicsProblem("heat", SpectralGenerator(decomp),
                               ConstantSchedule(1.0), np.array([0.5, 0.5]), 1.0)
     with pytest.raises(StiffnessError) as err:
@@ -342,8 +373,7 @@ def test_stiffness_error_carries_trajectory():
 
 def test_exact_unit_eigenvalue_row():
     decomp = EigenFactorization(eigenvalues=np.array([0.0, 1.0]),
-                                vectors=np.eye(2), inverse=np.eye(2),
-                                condition=1.0)
+                                vectors=np.eye(2), inverse=np.eye(2))
     problem = DynamicsProblem("heat", SpectralGenerator(decomp), SINE,
                               np.array([0.3, 0.7]), 4.0)
     traj = exact_solution(problem, np.array([0.0, 1.0, 2.5, 4.0]))
@@ -407,7 +437,7 @@ def test_power_with_imaginary_residue_fails_the_run(model, method, schedule):
     # exponent; no step may drop it.
     eye = np.eye(2, dtype=complex)
     fac = EigenFactorization(eigenvalues=np.array([0.0, 1.0 + 1.0j]),
-                             vectors=eye, inverse=eye, condition=1.0)
+                             vectors=eye, inverse=eye)
     problem = DynamicsProblem(model, GeneralGenerator(fac, 1.0), schedule,
                               random_initial_state(model, 2, seed=2), 1.0)
     with pytest.raises(NumericError,

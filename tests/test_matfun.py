@@ -50,7 +50,7 @@ def test_sym_eig_c4(c4):
     assert np.abs(d.eigenvalues - [0.0, 2.0, 2.0, 4.0]).max() <= 1e-10
     assert np.abs(d.vectors.T @ d.vectors - np.eye(4)).max() <= 1e-12
     # The inverse of an orthogonal V is its transpose, shared, not copied.
-    assert d.inverse.base is d.vectors and d.condition == 1.0
+    assert d.inverse.base is d.vectors
 
 
 def test_sym_eig_diagonal_sorts_and_permutes():
@@ -108,14 +108,14 @@ def test_fractional_power_rejects_bad_alpha(c4, alpha):
 
 def test_fractional_power_clamps_tiny_eigenvalues():
     d = EigenFactorization(eigenvalues=np.array([-5e-11, 1e-15, 1.0]),
-                           vectors=np.eye(3), inverse=np.eye(3), condition=1.0)
+                           vectors=np.eye(3), inverse=np.eye(3))
     power = fractional_power_sym(d, 0.25)
     assert power[0, 0] == 0.0 and power[1, 1] == 0.0 and power[2, 2] == 1.0
 
 
 def test_fractional_power_rejects_negative_spectrum():
     d = EigenFactorization(eigenvalues=np.array([-0.5, 1.0]),
-                           vectors=np.eye(2), inverse=np.eye(2), condition=1.0)
+                           vectors=np.eye(2), inverse=np.eye(2))
     with pytest.raises(ValueError, match="negative eigenvalue"):
         fractional_power_sym(d, 0.5)
 
