@@ -10,6 +10,7 @@ traversals behind distances and connectivity.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -29,7 +30,6 @@ __all__ = [
     "combinatorial_laplacian",
     "directed_laplacians",
     "normalized_laplacians",
-    "incidence_matrix",
     "all_pairs_distances",
     "connectivity",
     "k_path_laplacian",
@@ -43,7 +43,7 @@ class Graph:
 
     Undirected graphs store each unordered pair exactly once, canonicalized
     as (min, max); the expansion to a symmetric weight matrix happens in the
-    matrix builders.
+    matrix builders.  n and each index are integers (any ``__index__`` type).
     """
 
     n: int
@@ -51,29 +51,48 @@ class Graph:
     directed: bool = False
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("graph needs at least one node")
-        seen = set()
+        if not hasattr(type(self.n), "__index__") or self.n < 1:
+            raise ValueError(f"graph needs an integer n >= 1, got {self.n!r}")
+        seen = {}
         canonical = []
-        for u, v, w in self.edges:
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise ValueError(f"edge ({u}, {v}) out of range for n={self.n}")
+        for i, (u, v, w) in enumerate(self.edges):
+            if not (0 <= u < self.n and 0 <= v < self.n
+                    and hasattr(type(u), "__index__")
+                    and hasattr(type(v), "__index__")):
+                raise _EdgeError("edge ({u}, {v}) out of range: indices must "
+                                 "be integers in {lo}..{hi}", self, i)
             if u == v:
-                raise ValueError(f"self-loop at node {u} is not allowed")
+                raise _EdgeError("self-loop at node {u}", self, i)
             if not 0 < w < np.inf:
-                raise ValueError(
-                    f"edge ({u}, {v}) has weight {w}, not positive and finite")
-            key = (u, v) if self.directed else (min(u, v), max(u, v))
+                raise _EdgeError("edge ({u}, {v}) has weight {w}, not "
+                                 "positive and finite", self, i)
+            key = (u, v) if self.directed or u < v else (v, u)
             if key in seen:
-                raise ValueError(f"duplicate edge ({u}, {v})")
-            seen.add(key)
-            canonical.append((key[0], key[1], float(w)) if not self.directed
-                             else (u, v, float(w)))
+                raise _EdgeError("duplicate edge ({u}, {v}), first seen at "
+                                 "{first}", self, i, seen[key])
+            seen[key] = i
+            canonical.append((key[0], key[1], float(w)))
         object.__setattr__(self, "edges", tuple(canonical))
 
     @property
     def m(self) -> int:
         return len(self.edges)
+
+
+class _EdgeError(ValueError):
+    """graph.edges[index] breaks a rule, worded by a str.format template.
+
+    describe(base, where) numbers nodes from base and names the pair's first
+    edge where(first): edges[i] for a Graph, a line for the file loaders.
+    """
+
+    def __init__(self, words, graph, index, first=None):
+        u, v, w = graph.edges[index]
+        self.index = index
+        self.describe = lambda base, where: words.format(
+            u=u + base, v=v + base, w=w, lo=base, hi=graph.n - 1 + base,
+            first=where(index if first is None else first))
+        super().__init__(self.describe(0, "edges[{}]".format))
 
 
 @dataclass(frozen=True)
@@ -91,17 +110,30 @@ class DistanceMatrix:
 class ConnectivityReport:
     """Component structure of a graph.
 
-    ``components`` are sorted largest first.  For directed graphs the
-    components are the strongly connected ones and ``is_connected`` means
-    strongly connected.  ``largest_component`` is the induced subgraph on the
-    biggest component with nodes relabeled 0..k-1; ``node_map[i]`` gives the
-    original index of new node i.
+    ``components`` are sorted largest first, then by smallest node.  For
+    directed graphs they are the strongly connected ones and ``is_connected``
+    means strongly connected.  ``largest_component``, built when first read,
+    is the induced subgraph on the biggest component with nodes relabeled
+    0..k-1; ``node_map[i]`` gives the original index of new node i.
     """
 
+    graph: Graph
     components: tuple[tuple[int, ...], ...]
-    is_connected: bool
-    largest_component: Graph
-    node_map: tuple[int, ...]
+
+    @property
+    def is_connected(self) -> bool:
+        return len(self.components) == 1
+
+    @property
+    def node_map(self) -> tuple[int, ...]:
+        return self.components[0]
+
+    @cached_property
+    def largest_component(self) -> Graph:
+        back = {u: i for i, u in enumerate(self.node_map)}
+        edges = tuple((back[u], back[v], w) for u, v, w in self.graph.edges
+                      if u in back and v in back)
+        return Graph(n=len(back), edges=edges, directed=self.graph.directed)
 
 
 # ---------------------------------------------------------------------------
@@ -112,8 +144,8 @@ def load_graph(path, fmt: str | None = None, directed: bool = False) -> Graph:
     """Load a graph from an edge-list or Matrix Market file.
 
     Indices in files are 1-based and converted to 0-based.  Missing weights
-    default to 1.0.  An entry with an index outside 1..n, a self-loop, a
-    weight that is not positive (NaN too) or a duplicate pair is rejected.
+    default to 1.0.  An entry whose fields do not convert, or that breaks one
+    of Graph's edge rules, is rejected.
 
     Args:
         path: file location.
@@ -213,37 +245,24 @@ def _read_entries(entries, n, directed, path):
     """Graph from (line number, ['src', 'dst', optional 'weight']) entries.
 
     Indices are 1-based; n is the file's node count, or None for the largest
-    index.  A malformed entry raises GraphParseError naming its line.
+    index.  A field that does not convert, or an edge that breaks one of
+    Graph's rules, raises GraphParseError naming its line.
     """
-    limit = float("inf") if n is None else n
-    seen = {}
     edges = []
     for lineno, parts in entries:
         try:
-            u, v = int(parts[0]), int(parts[1])
+            u, v = int(parts[0]) - 1, int(parts[1]) - 1
             w = float(parts[2]) if len(parts) == 3 else 1.0
         except ValueError as exc:
             raise GraphParseError(str(exc), path, lineno) from exc
-        if not (0 < u <= limit and 0 < v <= limit):
-            raise GraphParseError(
-                f"edge ({u}, {v}) has an index outside "
-                f"1..{'n' if n is None else n}", path, lineno)
-        if u == v:
-            raise GraphParseError(f"self-loop at node {u}", path, lineno)
-        if not 0 < w < np.inf:
-            raise GraphParseError(
-                f"edge ({u}, {v}) has weight {w}, not positive and finite",
-                path, lineno)
-        key = (u, v) if directed or u < v else (v, u)
-        if key in seen:
-            raise GraphParseError(
-                f"duplicate edge ({u}, {v}) first seen on line {seen[key]}",
-                path, lineno)
-        seen[key] = lineno
-        edges.append((u - 1, v - 1, w))
-    if n is None:
-        n = max(map(max, seen))
-    return Graph(n=n, edges=tuple(edges), directed=directed)
+        edges.append((u, v, w))
+    if n is None:  # at least 1, so an index below 1 fails on its own line
+        n = max(1, max(max(u, v) for u, v, _ in edges) + 1)
+    try:
+        return Graph(n=n, edges=tuple(edges), directed=directed)
+    except _EdgeError as exc:
+        message = exc.describe(1, lambda i: f"line {entries[i][0]}")
+        raise GraphParseError(message, path, entries[exc.index][0]) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -309,25 +328,6 @@ def normalized_laplacians(g: Graph):
     return rw, sym
 
 
-def incidence_matrix(g: Graph) -> np.ndarray:
-    """Signed |V| x |E| incidence matrix B with entries +-sqrt(w).
-
-    The signs are chosen so that B @ B.T equals the combinatorial Laplacian
-    (undirected case).  Directed edges use -sqrt(w) where the edge leaves and
-    +sqrt(w) where it enters.
-    """
-    b = np.zeros((g.n, g.m))
-    for j, (u, v, w) in enumerate(g.edges):
-        r = np.sqrt(w)
-        if g.directed:
-            b[u, j] = -r
-            b[v, j] = r
-        else:
-            b[u, j] = r
-            b[v, j] = -r
-    return b
-
-
 # ---------------------------------------------------------------------------
 # Distances and connectivity
 # ---------------------------------------------------------------------------
@@ -362,23 +362,14 @@ def connectivity(g: Graph) -> ConnectivityReport:
     """Component report; directed graphs are judged by strong connectivity."""
     from scipy.sparse.csgraph import connected_components
 
-    count, labels = connected_components(
+    _, labels = connected_components(
         _arc_matrix(g), directed=g.directed, connection="strong")
-    comps = sorted((np.flatnonzero(labels == c).tolist() for c in range(count)),
-                   key=lambda c: (-len(c), c))
-    largest = comps[0]
-    node_map = tuple(largest)
-    back = {orig: new for new, orig in enumerate(node_map)}
-    keep = set(largest)
-    sub_edges = tuple((back[u], back[v], w) for u, v, w in g.edges
-                      if u in keep and v in keep)
-    sub = Graph(n=len(largest), edges=sub_edges, directed=g.directed)
-    return ConnectivityReport(
-        components=tuple(tuple(c) for c in comps),
-        is_connected=len(comps) == 1,
-        largest_component=sub,
-        node_map=node_map,
-    )
+    # a stable sort groups the nodes by label, each group in increasing order
+    ends = np.cumsum(np.bincount(labels))[:-1]
+    groups = np.split(np.argsort(labels, kind="stable"), ends)
+    comps = sorted((tuple(c.tolist()) for c in groups),
+                   key=lambda c: (-len(c), c[0]))
+    return ConnectivityReport(graph=g, components=tuple(comps))
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fraclap.stability
 from fraclap import (
     Graph,
     KPathGenerator,
     all_pairs_distances,
     connectivity,
     k_path_laplacian,
+    steady_state,
     transformed_k_path_laplacian,
 )
 from fraclap.graphs import _hop_coupling
@@ -79,6 +81,55 @@ def test_components_are_mutual_reachability_classes(g):
     assert np.array_equal(label[:, None] == label[None, :], mutual)
     assert report.is_connected == (len(comps) == 1)
     assert report.node_map == report.components[0]
+
+
+def induced_subgraph(g: Graph, nodes) -> Graph:
+    """The subgraph of g on nodes, node nodes[i] relabelled i, by a loop."""
+    new = {}
+    for i, u in enumerate(nodes):
+        new[u] = i
+    edges = []
+    for u, v, w in g.edges:
+        if u in new and v in new:
+            edges.append((new[u], new[v], w))
+    return Graph(len(nodes), tuple(edges), directed=g.directed)
+
+
+@PROPERTY
+@given(graphs())
+def test_largest_component_is_the_induced_relabelled_subgraph(g):
+    report = connectivity(g)
+    assert report.largest_component == induced_subgraph(g, report.node_map)
+
+
+def test_largest_component_is_built_only_when_read(monkeypatch):
+    reports = []
+
+    def recording(g):
+        reports.append(connectivity(g))
+        return reports[-1]
+
+    monkeypatch.setattr(fraclap.stability, "connectivity", recording)
+    g = Graph(4, ((0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)))
+    steady_state(g)
+    report = connectivity(g)
+    assert report.is_connected and report.node_map == (0, 1, 2, 3)
+    for r in reports + [report]:
+        assert "largest_component" not in vars(r)
+    assert report.largest_component == g
+    assert "largest_component" in vars(report)
+
+
+def test_many_components_come_back_largest_first_then_by_smallest_node():
+    # 5,000 disjoint edges over shuffled nodes, and one triangle on the last
+    # three nodes, which comes first although its smallest node is largest
+    pairs = np.random.default_rng(3).permutation(10_000).reshape(-1, 2)
+    triangle = ((10_000, 10_001, 1.0), (10_001, 10_002, 1.0),
+                (10_000, 10_002, 1.0))
+    g = Graph(10_003, tuple((u, v, 1.0) for u, v in pairs.tolist()) + triangle)
+    expected = [(10_000, 10_001, 10_002)] + sorted(
+        tuple(sorted(p)) for p in pairs.tolist())
+    assert connectivity(g).components == tuple(expected)
 
 
 @PROPERTY

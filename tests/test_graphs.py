@@ -10,7 +10,6 @@ from fraclap import (
     combinatorial_laplacian,
     connectivity,
     directed_laplacians,
-    incidence_matrix,
     k_path_laplacian,
     load_graph,
     normalized_laplacians,
@@ -53,6 +52,18 @@ def test_graph_rejects_nonfinite_weight(weight):
 def test_graph_rejects_out_of_range_index():
     with pytest.raises(ValueError, match="out of range"):
         Graph(2, ((0, 2, 1.0),))
+
+
+def test_graph_rejects_a_non_integer_node_count():
+    with pytest.raises(ValueError, match="integer"):
+        Graph(2.5, ((0, 1, 1.0),))
+    assert Graph(np.int64(3), ((0, 1, 1.0),)).n == 3
+
+
+def test_graph_rejects_a_non_integer_index():
+    with pytest.raises(ValueError, match="indices must be integers"):
+        Graph(3, ((0, 1.5, 1.0),))
+    assert Graph(3, ((np.int64(0), np.int64(2), 1.0),)).m == 1
 
 
 def test_directed_graph_keeps_antiparallel_edges():
@@ -115,6 +126,53 @@ def test_load_malformed_entry_names_path_and_line(tmp_path, name, text, line):
         load_graph(path)
     assert err.value.line == line
     assert str(err.value).startswith(f"{path}:{line}: ")
+
+
+# One edge per rule, placed after the good edge (0, 1) on nodes 0..2.  words
+# renders the message with nodes numbered from base and the pair's first edge
+# named at; a Graph numbers from 0, a file from 1.
+EDGE_RULES = [
+    ("range", False, (-1, 2, 1.0), lambda b, at:
+     f"edge ({b - 1}, {b + 2}) out of range: indices must be integers in "
+     f"{b}..{b + 2}"),
+    ("self-loop", False, (2, 2, 1.0),
+     lambda b, at: f"self-loop at node {b + 2}"),
+    ("zero weight", False, (1, 2, 0.0), lambda b, at:
+     f"edge ({b + 1}, {b + 2}) has weight 0.0, not positive and finite"),
+    ("nan weight", False, (1, 2, float("nan")), lambda b, at:
+     f"edge ({b + 1}, {b + 2}) has weight nan, not positive and finite"),
+    ("inf weight", True, (2, 1, float("inf")), lambda b, at:
+     f"edge ({b + 2}, {b + 1}) has weight inf, not positive and finite"),
+    ("undirected duplicate", False, (1, 0, 2.0),
+     lambda b, at: f"duplicate edge ({b + 1}, {b}), first seen at {at}"),
+    ("directed duplicate", True, (0, 1, 2.0),
+     lambda b, at: f"duplicate edge ({b}, {b + 1}), first seen at {at}"),
+]
+
+
+@pytest.mark.parametrize("rule, directed, bad, words", EDGE_RULES,
+                         ids=[case[0] for case in EDGE_RULES])
+def test_one_rule_set_for_graph_edge_list_and_matrix_market(
+        tmp_path, rule, directed, bad, words):
+    with pytest.raises(ValueError) as err:
+        Graph(3, ((0, 1, 1.0), bad), directed=directed)
+    assert str(err.value) == words(0, "edges[0]")
+
+    u, v, w = bad[0] + 1, bad[1] + 1, bad[2]
+    kind = "general" if directed else "symmetric"
+    files = {
+        "g.edges": f"1 2 1.0\n% comment\n{u} {v} {w}\n",
+        "g.mtx": f"%%MatrixMarket matrix coordinate real {kind}\n"
+                 f"3 3 2\n% comment\n1 2 1.0\n% comment\n{u} {v} {w}\n",
+    }
+    for name, text in files.items():
+        path = tmp_path / name
+        path.write_text(text)
+        first, line = (1, 3) if name == "g.edges" else (4, 6)
+        with pytest.raises(GraphParseError) as err:
+            load_graph(path, directed=directed)
+        assert err.value.line == line
+        assert str(err.value) == f"{path}:{line}: {words(1, f'line {first}')}"
 
 
 def test_load_non_utf8_file_names_path_and_line(tmp_path):
@@ -236,42 +294,6 @@ def test_normalized_laplacians_isolated_vertex_named():
     g = Graph(3, ((0, 1, 1.0),))
     with pytest.raises(ValueError, match="vertex 2"):
         normalized_laplacians(g)
-
-
-# ---------------------------------------------------------------------------
-# Incidence
-# ---------------------------------------------------------------------------
-
-def test_incidence_single_edge_signed():
-    g = Graph(2, ((0, 1, 1.0),))
-    b = incidence_matrix(g)
-    assert b.shape == (2, 1)
-    assert np.array_equal(b @ b.T, [[1.0, -1.0], [-1.0, 1.0]])
-
-
-def test_incidence_reproduces_laplacian_c4(c4):
-    b = incidence_matrix(c4)
-    assert np.abs(b @ b.T - combinatorial_laplacian(c4)).max() <= 1e-12
-
-
-def test_incidence_empty_edge_set():
-    g = Graph(3, ())
-    b = incidence_matrix(g)
-    assert b.shape == (3, 0)
-    assert np.array_equal(b @ b.T, np.zeros((3, 3)))
-
-
-def test_incidence_directed_sign_convention():
-    g = Graph(2, ((0, 1, 4.0),), directed=True)
-    b = incidence_matrix(g)
-    assert b[0, 0] == -2.0 and b[1, 0] == 2.0
-
-
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_incidence_identity_random_weighted(seed):
-    g = ring_with_chords(30, 25, seed=seed, weights=True)
-    b = incidence_matrix(g)
-    assert np.abs(b @ b.T - combinatorial_laplacian(g)).max() <= 1e-12
 
 
 # ---------------------------------------------------------------------------
