@@ -38,7 +38,6 @@ from .graphs import (
     combinatorial_laplacian,
     connectivity,
     directed_laplacians,
-    k_path_laplacian,
     load_graph,
     normalized_laplacians,
     transformed_k_path_laplacian,

@@ -167,12 +167,6 @@ def _laplacian_matrix(g: graphs.Graph, args) -> np.ndarray:
     return _check_kind(g, args.laplacian).laplacian(g, args.kpath_alpha)
 
 
-def _require_out(args) -> str:
-    if not args.out:
-        raise ConfigError("--out is required")
-    return args.out
-
-
 def _constant_exponent(text: str) -> float:
     try:
         return float(text)
@@ -263,7 +257,7 @@ def _sidecar(traj, args, g, problem) -> dict:
 def cmd_laplacian(args) -> int:
     g = _load_graph(args)
     matrix = _laplacian_matrix(g, args)
-    trajio.write_matrix(matrix, _require_out(args), args.out_format)
+    trajio.write_matrix(matrix, args.out, args.out_format)
     return EXIT_OK
 
 
@@ -273,14 +267,14 @@ def cmd_power(args) -> int:
         raise ConfigError("power applies to fractional kinds; use the kpath command")
     alpha = _constant_exponent(args.alpha)
     powered = _generator_for(g, args).matrix(alpha)
-    trajio.write_matrix(powered, _require_out(args), args.out_format)
+    trajio.write_matrix(powered, args.out, args.out_format)
     return EXIT_OK
 
 
 def cmd_kpath(args) -> int:
     g = _load_graph(args)
     matrix = _kpath_laplacian(g, args.kpath_alpha)
-    trajio.write_matrix(matrix, _require_out(args), args.out_format)
+    trajio.write_matrix(matrix, args.out, args.out_format)
     return EXIT_OK
 
 
@@ -294,17 +288,17 @@ def cmd_spectrum(args) -> int:
     else:
         matrix = _laplacian_matrix(g, args)
     values = np.linalg.eigvalsh(matrix)
-    trajio.write_spectrum(values, _require_out(args), args.out_format)
+    trajio.write_spectrum(values, args.out, args.out_format)
     return EXIT_OK
 
 
 def cmd_simulate(args) -> int:
     g = _load_graph(args)
     problem, config = _build_problem(g, args)
-    out = _require_out(args)
     traj = dynamics.simulate(problem, config)
-    trajio.write_trajectory(traj, args.model, out, args.out_format)
-    trajio.write_json(_sidecar(traj, args, g, problem), f"{out}.stats.json")
+    trajio.write_trajectory(traj, args.model, args.out, args.out_format)
+    trajio.write_json(_sidecar(traj, args, g, problem),
+                      f"{args.out}.stats.json")
     return EXIT_OK
 
 
@@ -333,8 +327,7 @@ def cmd_decay(args) -> int:
     if args.out:
         trajio.write_json(report, args.out)
     else:
-        json.dump(report, sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
+        print(trajio.report_json(report))
     return EXIT_OK
 
 
@@ -347,8 +340,7 @@ def cmd_floquet(args) -> int:
         raise ConfigError("floquet analysis needs a fractional Laplacian kind")
     exponents = stability.floquet_exponents(_generator_for(g, args), schedule,
                                             args.period)
-    trajio.write_exponents(exponents, args.period, _require_out(args),
-                           args.out_format)
+    trajio.write_exponents(exponents, args.period, args.out, args.out_format)
     return EXIT_OK
 
 
@@ -373,6 +365,8 @@ def main(argv=None) -> int:
     try:
         if args.config:
             args = _with_config(parser, args, argv)
+        if not args.out and args.command != "decay":
+            raise ConfigError("--out is required")
         return _COMMANDS[args.command](args)
     except NumericError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -9,6 +9,7 @@ traversals behind distances and connectivity.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -32,7 +33,6 @@ __all__ = [
     "normalized_laplacians",
     "all_pairs_distances",
     "connectivity",
-    "k_path_laplacian",
     "transformed_k_path_laplacian",
 ]
 
@@ -56,14 +56,14 @@ class Graph:
         seen = {}
         canonical = []
         for i, (u, v, w) in enumerate(self.edges):
-            if not (0 <= u < self.n and 0 <= v < self.n
-                    and hasattr(type(u), "__index__")
-                    and hasattr(type(v), "__index__")):
+            if not (hasattr(type(u), "__index__")
+                    and hasattr(type(v), "__index__")
+                    and 0 <= u < self.n and 0 <= v < self.n):
                 raise _EdgeError("edge ({u}, {v}) out of range: indices must "
                                  "be integers in {lo}..{hi}", self, i)
             if u == v:
                 raise _EdgeError("self-loop at node {u}", self, i)
-            if not 0 < w < np.inf:
+            if not (isinstance(w, numbers.Real) and 0 < w < np.inf):
                 raise _EdgeError("edge ({u}, {v}) has weight {w}, not "
                                  "positive and finite", self, i)
             key = (u, v) if self.directed or u < v else (v, u)
@@ -84,13 +84,15 @@ class _EdgeError(ValueError):
 
     describe(base, where) numbers nodes from base and names the pair's first
     edge where(first): edges[i] for a Graph, a line for the file loaders.
+    Base 0 shows indices as given, which need not be numbers.
     """
 
     def __init__(self, words, graph, index, first=None):
         u, v, w = graph.edges[index]
         self.index = index
         self.describe = lambda base, where: words.format(
-            u=u + base, v=v + base, w=w, lo=base, hi=graph.n - 1 + base,
+            u=u + base if base else u, v=v + base if base else v, w=w,
+            lo=base, hi=graph.n - 1 + base,
             first=where(index if first is None else first))
         super().__init__(self.describe(0, "edges[{}]".format))
 
@@ -379,10 +381,10 @@ def connectivity(g: Graph) -> ConnectivityReport:
 def _k_path_distances(g: Graph) -> DistanceMatrix:
     """Hop distances of g, which the k-path operators need undirected and connected."""
     if g.directed:
-        raise ValueError("k_path_laplacian needs an undirected graph")
+        raise ValueError("the k-path Laplacian needs an undirected graph")
     distances = all_pairs_distances(g)
     if not np.all(np.isfinite(distances.hops)):
-        raise ValueError("k_path_laplacian needs a connected graph")
+        raise ValueError("the k-path Laplacian needs a connected graph")
     return distances
 
 
@@ -404,21 +406,6 @@ def _hop_coupling(hops: np.ndarray, diameter: int, alpha: float) -> np.ndarray:
     coupling = weights[hops]
     np.fill_diagonal(coupling, -coupling.sum(axis=1))
     return coupling
-
-
-def k_path_laplacian(g: Graph, k: int) -> np.ndarray:
-    """Laplacian-like coupling of node pairs at hop distance exactly k.
-
-    Off-diagonal entries are -1 where d(u, v) = k; the diagonal holds the
-    count of nodes at distance exactly k, so each row sums to zero.  Returns
-    the zero matrix for k larger than the diameter.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    mask = _k_path_distances(g).hops == k
-    lap = np.where(mask, -1.0, 0.0)
-    np.fill_diagonal(lap, mask.sum(axis=1))
-    return lap
 
 
 def transformed_k_path_laplacian(g: Graph, alpha: float) -> np.ndarray:

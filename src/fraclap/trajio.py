@@ -39,6 +39,7 @@ __all__ = [
     "write_spectrum",
     "write_exponents",
     "write_json",
+    "report_json",
     "trajectory_table",
 ]
 
@@ -200,8 +201,15 @@ def _reply(helper: subprocess.Popen):
         raise OSError("the CSV formatting helper sent an unterminated line")
 
 
-def _write_atomic(path, chunks) -> None:
-    """Write the text chunks to path through a temporary file and a rename."""
+def _write(path, fmt: str, csv_chunks, json_text) -> None:
+    """Write the CSV text chunks, or json_text() and a newline, to path
+    through a temporary file and a rename.  Only fmt's text is made."""
+    if fmt == "csv":
+        chunks = csv_chunks
+    elif fmt == "json":
+        chunks = [json_text(), "\n"]
+    else:
+        raise ValueError(f"unknown output format {fmt!r}")
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
     try:
@@ -243,15 +251,10 @@ def trajectory_table(traj: Trajectory, model: str):
 
 def write_trajectory(traj: Trajectory, model: str, path, fmt: str = "csv") -> None:
     columns, table = trajectory_table(traj, model)
-    if fmt == "csv":
-        _write_atomic(path, itertools.chain([",".join(columns) + "\n"],
-                                            _csv_rows(table)))
-    elif fmt == "json":
-        payload = {"model": model, "columns": columns,
-                   "rows": table.tolist()}
-        _write_atomic(path, [json.dumps(payload), "\n"])
-    else:
-        raise ValueError(f"unknown output format {fmt!r}")
+    _write(path, fmt, itertools.chain([",".join(columns) + "\n"],
+                                      _csv_rows(table)),
+           lambda: json.dumps({"model": model, "columns": columns,
+                               "rows": table.tolist()}))
 
 
 def read_trajectory(path, fmt: str | None = None):
@@ -273,41 +276,32 @@ def write_matrix(m: np.ndarray, path, fmt: str = "csv") -> None:
     if np.iscomplexobj(m):
         raise ValueError("complex matrices have no CSV/JSON writer; "
                          "coerce or save parts separately")
-    if fmt == "csv":
-        _write_atomic(path, _csv_rows(m))
-    elif fmt == "json":
-        payload = {"rows": m.shape[0], "cols": m.shape[1],
-                   "entries": m.astype(float, copy=False).tolist()}
-        _write_atomic(path, [json.dumps(payload), "\n"])
-    else:
-        raise ValueError(f"unknown output format {fmt!r}")
+    _write(path, fmt, _csv_rows(m),
+           lambda: json.dumps({"rows": m.shape[0], "cols": m.shape[1],
+                               "entries": m.astype(float, copy=False).tolist()}))
 
 
 def write_spectrum(values: np.ndarray, path, fmt: str = "csv") -> None:
     values = np.asarray(values, dtype=float)
-    if fmt == "csv":
-        _write_atomic(path, ["\n".join(format_float(v) for v in values), "\n"])
-    elif fmt == "json":
-        payload = {"eigenvalues": values.tolist()}
-        _write_atomic(path, [json.dumps(payload), "\n"])
-    else:
-        raise ValueError(f"unknown output format {fmt!r}")
+    _write(path, fmt, _csv_rows(values[:, None]),
+           lambda: json.dumps({"eigenvalues": values.tolist()}))
 
 
 def write_exponents(exponents: np.ndarray, period: float, path,
                     fmt: str = "csv") -> None:
     """Complex Floquet exponents: CSV rows re,im, or JSON with the period."""
-    if fmt == "csv":
-        _write_atomic(path, itertools.chain(["re,im\n"], (
-            f"{format_float(e.real)},{format_float(e.imag)}\n"
-            for e in exponents)))
-    elif fmt == "json":
-        write_json({"period": float(period),
-                    "exponents": [[float(e.real), float(e.imag)]
-                                  for e in exponents]}, path)
-    else:
-        raise ValueError(f"unknown output format {fmt!r}")
+    exponents = np.asarray(exponents, dtype=complex)
+    pairs = np.column_stack([exponents.real, exponents.imag])
+    _write(path, fmt, itertools.chain(["re,im\n"], _csv_rows(pairs)),
+           lambda: report_json({"period": float(period),
+                                "exponents": pairs.tolist()}))
+
+
+def report_json(obj) -> str:
+    """The indented, key-sorted JSON of write_json, write_exponents and
+    reports printed on stdout."""
+    return json.dumps(obj, indent=2, sort_keys=True)
 
 
 def write_json(obj, path) -> None:
-    _write_atomic(path, [json.dumps(obj, indent=2, sort_keys=True), "\n"])
+    _write(path, "json", (), lambda: report_json(obj))

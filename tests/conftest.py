@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fraclap import Graph, load_graph
+from fraclap import Graph, all_pairs_distances, load_graph
 
 DATA = Path(__file__).parent / "data"
 
@@ -45,6 +45,22 @@ def weak_ring(n: int, weight: float = 1e-10) -> Graph:
     """
     edges = [(i, i + 1, 1.0) for i in range(n - 1)] + [(n - 1, 0, weight)]
     return Graph(n, tuple(edges), directed=True)
+
+
+def k_path_laplacian(g: Graph, k: int) -> np.ndarray:
+    """Laplacian-like coupling of node pairs at hop distance exactly k.
+
+    Off-diagonal entries are -1 where d(u, v) = k; the diagonal holds the
+    count of nodes at distance exactly k, so each row sums to zero.  The zero
+    matrix for k past the diameter.  One mask of the hop matrix per k: an
+    oracle independent of the weight-table gather in graphs._hop_coupling.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    mask = all_pairs_distances(g).hops == k
+    lap = np.where(mask, -1.0, 0.0)
+    np.fill_diagonal(lap, mask.sum(axis=1))
+    return lap
 
 
 def hub_ring_graph(n: int, hub_weight: float = 1.0) -> Graph:

@@ -12,6 +12,7 @@ from fraclap import (
     SpectralGenerator,
     combinatorial_laplacian,
     directed_laplacians,
+    graphs,
     load_graph,
     normalized_laplacians,
     parse_schedule,
@@ -550,6 +551,65 @@ def test_largest_component_flag(tmp_path):
     assert main(["laplacian", "--graph", str(path), "--largest-component",
                  "--out", out]) == 0
     assert read_matrix(out).shape == (3, 3)
+
+
+# ---------------------------------------------------------------------------
+# --out
+# ---------------------------------------------------------------------------
+
+_OUT_COMMANDS = {
+    "laplacian": [],
+    "power": [],
+    "kpath": ["--kpath-alpha", "1"],
+    "spectrum": [],
+    "simulate": ["--integrator", "exact"],
+    "floquet": ["--alpha", "sin:0.5,0.4,12.566370614359172", "--period", "0.5"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_OUT_COMMANDS))
+def test_missing_out_exits_two_before_the_graph_is_read(
+        command, c4_path, tmp_path, monkeypatch, capsys):
+    calls = []
+    load_graph = graphs.load_graph
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return load_graph(*args, **kwargs)
+
+    monkeypatch.setattr(graphs, "load_graph", spy)
+    monkeypatch.chdir(tmp_path)
+    argv = [command, "--graph", c4_path, *_OUT_COMMANDS[command]]
+    assert main(argv) == 2
+    assert "--out is required" in capsys.readouterr().err
+    assert calls == []
+    assert [p.name for p in tmp_path.iterdir()] == ["c4.edges"]
+    # the same run with --out reads the graph once and writes its file
+    assert main(argv + ["--out", "x.out"]) == 0
+    assert len(calls) == 1 and (tmp_path / "x.out").exists()
+
+
+def test_out_from_a_config_file_satisfies_the_check(c4_path, tmp_path):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"out": str(tmp_path / "a.csv")}))
+    assert main(["spectrum", "--graph", c4_path, "--config", str(config)]) == 0
+    assert main(["spectrum", "--graph", c4_path,
+                 "--out", str(tmp_path / "b.csv")]) == 0
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+def test_decay_without_out_prints_the_report(c4_path, tmp_path, monkeypatch,
+                                             capsys):
+    monkeypatch.chdir(tmp_path)
+    argv = ["decay", "--graph", c4_path, "--alpha", "const:1",
+            "--integrator", "exact", "--t-end", "10", "--seed", "3"]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    assert [p.name for p in tmp_path.iterdir()] == ["c4.edges"]
+    assert printed == json.dumps(json.loads(printed), indent=2,
+                                 sort_keys=True) + "\n"
+    assert main(argv + ["--out", "decay.json"]) == 0
+    assert (tmp_path / "decay.json").read_text() == printed
 
 
 # ---------------------------------------------------------------------------

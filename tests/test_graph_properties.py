@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fraclap.stability
+from conftest import k_path_laplacian
 from fraclap import (
     Graph,
     KPathGenerator,
     all_pairs_distances,
     connectivity,
-    k_path_laplacian,
     steady_state,
     transformed_k_path_laplacian,
 )

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from conftest import cycle_graph, directed_ring_with_chords, ring_with_chords
+from conftest import (
+    cycle_graph,
+    directed_ring_with_chords,
+    k_path_laplacian,
+    ring_with_chords,
+)
 from fraclap import (
     Graph,
     GraphParseError,
@@ -10,7 +15,6 @@ from fraclap import (
     combinatorial_laplacian,
     connectivity,
     directed_laplacians,
-    k_path_laplacian,
     load_graph,
     normalized_laplacians,
     transformed_k_path_laplacian,
@@ -64,6 +68,20 @@ def test_graph_rejects_a_non_integer_index():
     with pytest.raises(ValueError, match="indices must be integers"):
         Graph(3, ((0, 1.5, 1.0),))
     assert Graph(3, ((np.int64(0), np.int64(2), 1.0),)).m == 1
+
+
+@pytest.mark.parametrize("edge", [("a", 1, 1.0), (None, 1, 1.0),
+                                  (0, "2", 1.0)])
+def test_graph_rejects_an_index_that_is_not_a_number(edge):
+    with pytest.raises(ValueError, match=r"out of range: indices must be "
+                                         r"integers in 0\.\.2"):
+        Graph(3, (edge,))
+
+
+@pytest.mark.parametrize("weight", ["2", None, 1 + 0j, np.complex128(1)])
+def test_graph_rejects_a_weight_that_is_not_a_real_number(weight):
+    with pytest.raises(ValueError, match="not positive and finite"):
+        Graph(3, ((0, 1, weight),))
 
 
 def test_directed_graph_keeps_antiparallel_edges():
@@ -382,7 +400,7 @@ def test_k_path_k1_equals_combinatorial_for_unit_weights():
 def test_k_path_rejects_disconnected():
     g = Graph(4, ((0, 1, 1.0), (2, 3, 1.0)))
     with pytest.raises(ValueError, match="connected"):
-        k_path_laplacian(g, 1)
+        transformed_k_path_laplacian(g, 1.0)
 
 
 def test_transformed_k_path_c4_alpha1(c4):

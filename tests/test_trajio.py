@@ -10,10 +10,12 @@ from fraclap import (
     DynamicsProblem,
     SineSchedule,
     SpectralGenerator,
+    Trajectory,
     combinatorial_laplacian,
     exact_solution,
     random_initial_state,
 )
+from fraclap.integrators import StepStats
 from fraclap.trajio import (
     format_float,
     read_trajectory,
@@ -140,15 +142,14 @@ def test_failed_exponents_write_keeps_previous_file(tmp_path, monkeypatch):
     write_exponents(np.array([0.0, -1.5 + 0.25j]), 2.0, path)
     before = path.read_bytes()
     assert before == b"re,im\n0.0,0.0\n-1.5,0.25\n"
-    calls = []
+    rows = trajio._csv_rows
 
-    def failing_format(x):
-        calls.append(x)
-        if len(calls) > 2:  # the header and one row are written first
-            raise OSError("no space left on device")
-        return format_float(x)
+    def failing_rows(table):
+        gen = rows(table)
+        yield next(gen)  # the header and one row reach the file, then it fills
+        raise OSError("no space left on device")
 
-    monkeypatch.setattr(trajio, "format_float", failing_format)
+    monkeypatch.setattr(trajio, "_csv_rows", failing_rows)
     with pytest.raises(OSError, match="no space"):
         write_exponents(np.array([0.0, -2.0, -3.0]), 2.0, path)
     assert path.read_bytes() == before
@@ -163,3 +164,59 @@ def test_writers_replace_files_whole(tmp_path):
     write_spectrum(np.array([1.0]), path)
     assert path.read_text() == "1.0\n"
     assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
+
+# ---------------------------------------------------------------------------
+# Written bytes
+# ---------------------------------------------------------------------------
+
+def test_heat_trajectory_json_bytes(tmp_path):
+    traj = Trajectory(np.array([0.0, 0.5]),
+                      np.array([[1.0, 0.0], [0.75, 0.25]]), StepStats())
+    write_trajectory(traj, "heat", tmp_path / "p.json", fmt="json")
+    assert (tmp_path / "p.json").read_bytes() == (
+        b'{"model": "heat", "columns": ["t", "p_1", "p_2"], '
+        b'"rows": [[0.0, 1.0, 0.0], [0.5, 0.75, 0.25]]}\n')
+
+
+def test_schrodinger_trajectory_json_bytes(tmp_path):
+    states = np.array([[1.0, 0.0], [0.5 - 0.5j, -0.5j]])
+    traj = Trajectory(np.array([0.0, 0.25]), states, StepStats())
+    write_trajectory(traj, "schrodinger", tmp_path / "psi.json", fmt="json")
+    assert (tmp_path / "psi.json").read_bytes() == (
+        b'{"model": "schrodinger", "columns": ["t", "re_1", "im_1", "re_2", '
+        b'"im_2", "prob_1", "prob_2"], "rows": [[0.0, 1.0, 0.0, 0.0, 0.0, '
+        b'1.0, 0.0], [0.25, 0.5, -0.5, -0.0, -0.5, 0.6666666666666667, '
+        b'0.33333333333333326]]}\n')
+
+
+def test_matrix_json_bytes(tmp_path):
+    write_matrix(np.array([[1.5, -0.0], [-0.25, 2]]), tmp_path / "m.json",
+                 fmt="json")
+    assert (tmp_path / "m.json").read_bytes() == (
+        b'{"rows": 2, "cols": 2, "entries": [[1.5, -0.0], [-0.25, 2.0]]}\n')
+
+
+def test_spectrum_csv_and_json_bytes(tmp_path):
+    values = np.array([-0.0, 1e-17, 2.5])
+    write_spectrum(values, tmp_path / "s.csv")
+    assert (tmp_path / "s.csv").read_bytes() == b"0.0\n1e-17\n2.5\n"
+    write_spectrum(values, tmp_path / "s.json", fmt="json")
+    assert (tmp_path / "s.json").read_bytes() == (
+        b'{"eigenvalues": [-0.0, 1e-17, 2.5]}\n')
+
+
+def test_exponents_csv_and_json_bytes(tmp_path):
+    exponents = np.array([complex(-0.0, 0.0), -1.5 + 0.25j,
+                          complex(-2.0, -0.0), 1 / 3 - 1j])
+    write_exponents(exponents, 0.5, tmp_path / "f.csv")
+    assert (tmp_path / "f.csv").read_bytes() == (
+        b"re,im\n0.0,0.0\n-1.5,0.25\n-2.0,0.0\n"
+        b"0.3333333333333333,-1.0\n")
+    write_exponents(exponents, 0.5, tmp_path / "f.json", fmt="json")
+    assert (tmp_path / "f.json").read_bytes() == (
+        b'{\n  "exponents": [\n    [\n      -0.0,\n      0.0\n    ],\n'
+        b'    [\n      -1.5,\n      0.25\n    ],\n'
+        b'    [\n      -2.0,\n      -0.0\n    ],\n'
+        b'    [\n      0.3333333333333333,\n      -1.0\n    ]\n  ],\n'
+        b'  "period": 0.5\n}\n')
