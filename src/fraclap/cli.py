@@ -76,8 +76,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--laplacian", choices=sorted(_KINDS), default="comb")
     common.add_argument("--kpath-alpha", type=float, dest="kpath_alpha")
     common.add_argument("--out", help="output file path")
-    common.add_argument("--out-format", choices=["csv", "json"],
-                        dest="out_format", default="csv")
 
     sim = argparse.ArgumentParser(add_help=False)
     sim.add_argument("--model", choices=["heat", "schrodinger"], default="heat")
@@ -107,6 +105,9 @@ def _build_parser() -> argparse.ArgumentParser:
     floq = sub.add_parser("floquet", parents=[common, sim],
                           help="write characteristic exponents for a periodic schedule")
     floq.add_argument("--period", type=float)
+    for name, command in sub.choices.items():  # parents' actions are shared
+        command.add_argument("--out-format", choices=["csv", "json"],
+                             default="json" if name == "decay" else "csv")
     return parser
 
 
@@ -213,7 +214,7 @@ def _conservation_error(traj, args, g, problem) -> float:
         return float(np.abs(traj.states.real.sum(axis=1) - 1.0).max())
     states, start = traj.states, 1.0
     if args.laplacian == "nrw":
-        scale = np.diag(graphs.adjacency_and_degrees(g)[1]) ** -0.5
+        scale = graphs.adjacency_and_degrees(g)[1] ** -0.5
         states = states * scale
         start = np.linalg.norm(problem.initial_state * scale)
     return float(np.abs(np.linalg.norm(states, axis=1) / start - 1.0).max())
@@ -303,6 +304,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_decay(args) -> int:
+    if args.out_format != "json":
+        raise ConfigError("decay writes its report as JSON only, not CSV")
     g = _load_graph(args)
     if args.model != "heat":
         raise ConfigError("decay analysis applies to the heat model")

@@ -272,19 +272,17 @@ def _read_entries(entries, n, directed, path):
 # ---------------------------------------------------------------------------
 
 def adjacency_and_degrees(g: Graph):
-    """Return (A, D, D_in, D_out) as dense arrays.
+    """Return (A, d_out, d_in): the dense adjacency and the degree vectors.
 
     A carries the edge weights; degrees are weighted row/column sums.  For an
-    undirected graph D = D_in = D_out.
+    undirected graph d_out = d_in.
     """
     a = np.zeros((g.n, g.n))
     for u, v, w in g.edges:
         a[u, v] = w
         if not g.directed:
             a[v, u] = w
-    d_out = np.diag(a.sum(axis=1))
-    d_in = np.diag(a.sum(axis=0))
-    return a, d_out.copy(), d_in, d_out
+    return a, a.sum(axis=1), a.sum(axis=0)
 
 
 def combinatorial_laplacian(g: Graph) -> np.ndarray:
@@ -306,8 +304,8 @@ def directed_laplacians(g: Graph):
     """Return (L_out, L_in) = (D_out - W, D_in - W) for a directed graph."""
     if not g.directed:
         raise ValueError("directed_laplacians needs a directed graph")
-    a, _, d_in, d_out = adjacency_and_degrees(g)
-    return d_out - a, d_in - a
+    a, d_out, d_in = adjacency_and_degrees(g)
+    return np.diag(d_out) - a, np.diag(d_in) - a
 
 
 def normalized_laplacians(g: Graph):
@@ -318,8 +316,7 @@ def normalized_laplacians(g: Graph):
     """
     if g.directed:
         raise ValueError("normalized_laplacians needs an undirected graph")
-    a, d, _, _ = adjacency_and_degrees(g)
-    deg = np.diag(d).copy()
+    a, deg, _ = adjacency_and_degrees(g)
     isolated = np.nonzero(deg == 0)[0]
     if isolated.size:
         raise ValueError(f"isolated vertex {int(isolated[0])} has zero degree")

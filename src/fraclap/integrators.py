@@ -26,14 +26,14 @@ _MAX_FACTOR = 10.0
 
 # Dormand-Prince 5(4) tableau, error weights, and quartic dense-output matrix.
 _DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
-_DP_A = (
+_DP_A = tuple(map(np.array, (
     (),
     (1 / 5,),
     (3 / 40, 9 / 40),
     (44 / 45, -56 / 15, 32 / 9),
     (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
     (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-)
+)))
 _DP_B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])
 _DP_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200,
                   22 / 525, -1 / 40])
@@ -89,9 +89,9 @@ class StaleSolver:
     refresh: Callable[[], Callable[[np.ndarray], np.ndarray]]
 
 
-def _error_norm(err, y_ref, rtol, atol):
-    scale = atol + rtol * np.abs(y_ref)
-    return float(np.max(np.abs(err) / scale))
+def _norm(x, scale):
+    """The max-norm of x / scale, the error measure of both cores."""
+    return float(np.max(np.abs(x) / scale))
 
 
 def _require_finite(method, err_norm, y_new, t, h):
@@ -124,6 +124,27 @@ def _check_samples(sample_times, t_end):
     return samples
 
 
+class _Samples:
+    """States at the sample times, filled in order as steps are accepted."""
+
+    def __init__(self, sample_times, t_end, y0):
+        self.times = _check_samples(sample_times, t_end)
+        self.states = np.empty((self.times.size, y0.size), dtype=y0.dtype)
+        self.filled = 0
+        self.fill(0.0, y0, None)
+
+    def fill(self, t, y, interpolate):
+        """Fill samples up to t: y at st == t, interpolate(st) before it."""
+        while self.filled < self.times.size and self.times[self.filled] <= t:
+            st = self.times[self.filled]
+            self.states[self.filled] = y if st == t else interpolate(st)
+            self.filled += 1
+
+    def prefix(self):
+        """Copies of the (times, states) filled so far."""
+        return self.times[:self.filled].copy(), self.states[:self.filled].copy()
+
+
 def rk45_integrate(rhs, t_end, y0, sample_times, *, rtol=1e-6, atol=1e-9,
                    stats=None):
     """Dormand-Prince 5(4) with PI step control and max-norm error measure.
@@ -133,22 +154,20 @@ def rk45_integrate(rhs, t_end, y0, sample_times, *, rtol=1e-6, atol=1e-9,
     underflows below 1e-14 * t_end.
     """
     stats = stats if stats is not None else StepStats()
-    samples = _check_samples(sample_times, t_end)
     y = np.array(y0)
-    n = y.size
-    out = np.empty((samples.size, n), dtype=y.dtype)
-    si = 0
-    while si < samples.size and samples[si] <= 0.0:
-        out[si] = y
-        si += 1
-
+    samples = _Samples(sample_times, t_end, y)
     f = np.asarray(rhs(0.0, y))
     stats.rhs_evals += 1
     h = _default_first_step(t_end)
     t = 0.0
     err_prev = None
     rejected_last = False
-    k = np.empty((7, n), dtype=np.result_type(y.dtype, f.dtype))
+    k = np.empty((7, y.size), dtype=np.result_type(y, f))
+
+    def dense(st):  # quartic interpolant of the step from t, read when called
+        theta = (st - t) / h
+        powers = np.array([theta, theta ** 2, theta ** 3, theta ** 4])
+        return y + h * (k.T @ (_DP_P @ powers))
 
     while t < t_end:
         # Relative slack avoids a spurious one-ulp step after the last one.
@@ -160,18 +179,15 @@ def rk45_integrate(rhs, t_end, y0, sample_times, *, rtol=1e-6, atol=1e-9,
             raise StiffnessError(
                 f"rk45 step underflow at t={t:.6g} (h={h:.3e}); "
                 "the problem looks stiff, try the bdf integrator",
-                partial=(samples[:si].copy(), out[:si].copy(), stats))
+                partial=(*samples.prefix(), stats))
         k[0] = f
         for s in range(1, 6):
-            a_row = np.asarray(_DP_A[s])
-            ys = y + h * (a_row @ k[:s])
-            k[s] = rhs(t + _DP_C[s] * h, ys)
+            k[s] = rhs(t + _DP_C[s] * h, y + h * (_DP_A[s] @ k[:s]))
         y_new = y + h * (_DP_B @ k[:6])
-        f_new = np.asarray(rhs(t + h, y_new))
+        k[6] = f_new = np.asarray(rhs(t + h, y_new))
         stats.rhs_evals += 6
-        k[6] = f_new
         err = h * (_DP_E @ k)
-        en = _error_norm(err, np.maximum(np.abs(y), np.abs(y_new)), rtol, atol)
+        en = _norm(err, atol + rtol * np.maximum(np.abs(y), np.abs(y_new)))
         _require_finite("rk45", en, y_new, t, h)
 
         if en > 1.0:
@@ -181,15 +197,7 @@ def rk45_integrate(rhs, t_end, y0, sample_times, *, rtol=1e-6, atol=1e-9,
             continue
 
         t_new = t_end if final else t + h
-        while si < samples.size and samples[si] <= t_new:
-            st = samples[si]
-            if st == t_new:
-                out[si] = y_new
-            else:
-                theta = (st - t) / h
-                powers = np.array([theta, theta ** 2, theta ** 3, theta ** 4])
-                out[si] = y + h * (k.T @ (_DP_P @ powers))
-            si += 1
+        samples.fill(t_new, y_new, dense)
         stats.accepted += 1
         t = t_new
         y = y_new
@@ -208,7 +216,7 @@ def rk45_integrate(rhs, t_end, y0, sample_times, *, rtol=1e-6, atol=1e-9,
         err_prev = max(en, 1e-10)
         rejected_last = False
 
-    return out
+    return samples.states
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +247,7 @@ def _simplified_newton(rhs, t, y_predict, f, c, psi, solve, scale, tol, stats):
             stats.rhs_evals += 1
         dy = solve(c * f - psi - corr)
         stats.linear_solves += 1
-        dy_norm = float(np.max(np.abs(dy) / scale))
+        dy_norm = _norm(dy, scale)
         rate = None if dy_norm_old is None else dy_norm / dy_norm_old
         if rate is not None and (
                 rate >= 1
@@ -256,8 +264,7 @@ def _simplified_newton(rhs, t, y_predict, f, c, psi, solve, scale, tol, stats):
 def _change_ratio(order, factor):
     m = np.zeros((order + 1, order + 1))
     rows = np.arange(1, order + 1)[:, None]
-    cols = np.arange(1, order + 1)[None, :]
-    m[1:, 1:] = (rows - 1 - factor * cols) / rows
+    m[1:, 1:] = (rows - 1 - factor * rows.T) / rows
     m[0] = 1.0
     return np.cumprod(m, axis=0)
 
@@ -284,25 +291,22 @@ def bdf_integrate(rhs, make_solver, t_end, y0, sample_times, *, rtol=1e-6,
     solves and right-hand sides, iterations included, are counted here.
     """
     stats = stats if stats is not None else StepStats()
-    samples = _check_samples(sample_times, t_end)
     y = np.array(y0)
-    n = y.size
-    out = np.empty((samples.size, n), dtype=y.dtype)
-    si = 0
-    while si < samples.size and samples[si] <= 0.0:
-        out[si] = y
-        si += 1
-
+    samples = _Samples(sample_times, t_end, y)
     f0 = np.asarray(rhs(0.0, y))
     stats.rhs_evals += 1
     h = _default_first_step(t_end)
-    d = np.zeros((_MAX_ORDER + 3, n), dtype=np.result_type(y.dtype, f0.dtype))
+    d = np.zeros((_MAX_ORDER + 3, y.size), dtype=np.result_type(y, f0))
     d[0] = y
     d[1] = h * f0
     order = 1
     n_equal = 0
     t = 0.0
     newton_tol = max(10 * np.finfo(float).eps / rtol, min(0.03, rtol ** 0.5))
+
+    def dense(st):  # polynomial through order + 1 points, read when called
+        x = (st - (t - np.arange(order) * h)) / (h * np.arange(1, order + 1))
+        return d[0] + np.cumprod(x) @ d[1:order + 1]
 
     while t < t_end:
         # Unlike the explicit core, arbitrarily small steps are legitimate
@@ -339,7 +343,7 @@ def bdf_integrate(rhs, make_solver, t_end, y0, sample_times, *, rtol=1e-6,
         y_new = y_predict + corr
 
         scale = atol + rtol * np.abs(y_new)
-        err_norm = float(np.max(np.abs(_ERROR_CONST[order] * corr) / scale))
+        err_norm = _norm(_ERROR_CONST[order] * corr, scale)
         _require_finite("bdf", err_norm, y_new, t, h)
         if err_norm > 1.0:
             stats.rejected += 1
@@ -357,32 +361,16 @@ def bdf_integrate(rhs, make_solver, t_end, y0, sample_times, *, rtol=1e-6,
         for i in range(order, -1, -1):
             d[i] = d[i] + d[i + 1]
         t = t_new
-        y = y_new
-
-        while si < samples.size and samples[si] <= t:
-            st = samples[si]
-            if st == t:
-                out[si] = d[0]
-            else:
-                x = (st - (t - np.arange(order) * h)) \
-                    / (h * np.arange(1, order + 1))
-                out[si] = d[0] + np.cumprod(x) @ d[1:order + 1]
-            si += 1
+        samples.fill(t, d[0], dense)
 
         if n_equal < order + 1:
             continue
 
         # Held order and step long enough: consider switching either one.
-        if order > 1:
-            err_m = float(np.max(
-                np.abs(_ERROR_CONST[order - 1] * d[order]) / scale))
-        else:
-            err_m = np.inf
-        if order < _MAX_ORDER:
-            err_p = float(np.max(
-                np.abs(_ERROR_CONST[order + 1] * d[order + 2]) / scale))
-        else:
-            err_p = np.inf
+        err_m = (_norm(_ERROR_CONST[order - 1] * d[order], scale)
+                 if order > 1 else np.inf)
+        err_p = (_norm(_ERROR_CONST[order + 1] * d[order + 2], scale)
+                 if order < _MAX_ORDER else np.inf)
         norms = np.array([err_m, err_norm, err_p])
         with np.errstate(divide="ignore"):
             factors = norms ** (-1.0 / np.arange(order, order + 3))
@@ -395,4 +383,4 @@ def bdf_integrate(rhs, make_solver, t_end, y0, sample_times, *, rtol=1e-6,
         h *= factor
         n_equal = 0
 
-    return out
+    return samples.states

@@ -2,6 +2,7 @@
 
 Floats are rendered with repr(), the shortest decimal form that round-trips
 exactly, so written files can be compared bitwise and re-read without loss.
+Each writer folds -0.0 into 0.0 once, so CSV and JSON hold the same values.
 Every writer fills a temporary file in the target directory and renames it
 over the target, so a failure part-way leaves the previous file untouched.
 
@@ -90,7 +91,7 @@ def _usable_cpus() -> int:
 
 
 def _csv_rows(table: np.ndarray):
-    """format_float over a 2-D table, on Python floats rather than numpy scalars.
+    """repr over a 2-D table the writer has folded, on Python floats.
 
     Yields newline-terminated text in row order.  A float64 table of at least
     _PARALLEL_MIN_ENTRIES entries, with two or more usable CPUs, is split:
@@ -99,7 +100,6 @@ def _csv_rows(table: np.ndarray):
     lines, read _REPLY_CHUNK bytes at a time.  A dead helper or a short reply
     raises OSError; closing the generator early kills its helper.
     """
-    table = table + 0.0
     if (table.size < _PARALLEL_MIN_ENTRIES or table.dtype != np.float64
             or not sys.executable or _usable_cpus() < 2):
         for row in table:
@@ -251,6 +251,7 @@ def trajectory_table(traj: Trajectory, model: str):
 
 def write_trajectory(traj: Trajectory, model: str, path, fmt: str = "csv") -> None:
     columns, table = trajectory_table(traj, model)
+    table = table + 0.0
     _write(path, fmt, itertools.chain([",".join(columns) + "\n"],
                                       _csv_rows(table)),
            lambda: json.dumps({"model": model, "columns": columns,
@@ -276,13 +277,14 @@ def write_matrix(m: np.ndarray, path, fmt: str = "csv") -> None:
     if np.iscomplexobj(m):
         raise ValueError("complex matrices have no CSV/JSON writer; "
                          "coerce or save parts separately")
+    m = m.astype(float, copy=False) + 0.0
     _write(path, fmt, _csv_rows(m),
            lambda: json.dumps({"rows": m.shape[0], "cols": m.shape[1],
-                               "entries": m.astype(float, copy=False).tolist()}))
+                               "entries": m.tolist()}))
 
 
 def write_spectrum(values: np.ndarray, path, fmt: str = "csv") -> None:
-    values = np.asarray(values, dtype=float)
+    values = np.asarray(values, dtype=float) + 0.0
     _write(path, fmt, _csv_rows(values[:, None]),
            lambda: json.dumps({"eigenvalues": values.tolist()}))
 
@@ -291,7 +293,7 @@ def write_exponents(exponents: np.ndarray, period: float, path,
                     fmt: str = "csv") -> None:
     """Complex Floquet exponents: CSV rows re,im, or JSON with the period."""
     exponents = np.asarray(exponents, dtype=complex)
-    pairs = np.column_stack([exponents.real, exponents.imag])
+    pairs = np.column_stack([exponents.real, exponents.imag]) + 0.0
     _write(path, fmt, itertools.chain(["re,im\n"], _csv_rows(pairs)),
            lambda: report_json({"period": float(period),
                                 "exponents": pairs.tolist()}))

@@ -19,7 +19,7 @@ from fraclap import (
     transformed_k_path_laplacian,
     triangular_factorization,
 )
-from fraclap.cli import _sidecar, main
+from fraclap.cli import _build_parser, _sidecar, main
 from fraclap.dynamics import Trajectory
 from fraclap.integrators import StepStats
 from fraclap.matfun import power_from_factorization
@@ -437,6 +437,29 @@ def test_floquet_command_json_reads_back(c4_path, tmp_path):
                                     for ln in rows]
 
 
+@pytest.mark.parametrize("argv", [
+    ["floquet", "--directed", "--laplacian", "out",
+     "--alpha", "sin:0.5,0.3,6.283185307179586", "--period", "1"],
+    ["simulate", "--graph", KARATE, "--model", "schrodinger",
+     "--t-end", "2", "--samples", "5", "--seed", "3"]])
+def test_csv_and_json_write_the_same_values(argv, tmp_path):
+    """Both formats fold -0.0 into 0.0, so their number texts agree."""
+    digraph = tmp_path / "dg.edges"
+    digraph.write_text("1 2\n2 3\n3 1\n1 3 0.5\n")
+    if "--graph" not in argv:
+        argv = argv + ["--graph", str(digraph)]
+    assert main(argv + ["--out", str(tmp_path / "o.csv")]) == 0
+    assert main(argv + ["--out", str(tmp_path / "o.json"),
+                        "--out-format", "json"]) == 0
+    csv_rows = [ln.split(",") for ln in
+                (tmp_path / "o.csv").read_text().splitlines()[1:]]
+    payload = json.loads((tmp_path / "o.json").read_text())
+    json_rows = payload.get("exponents") or payload.get("rows")
+    assert [[repr(v) for v in row] for row in json_rows] == csv_rows
+    values = np.array(json_rows)
+    assert not np.signbit(values[values == 0]).any()
+
+
 @pytest.mark.parametrize("period", ["nan", "inf"])
 def test_floquet_nonfinite_period_exits_two(c4_path, tmp_path, period):
     assert main(["floquet", "--graph", c4_path, "--alpha",
@@ -612,6 +635,43 @@ def test_decay_without_out_prints_the_report(c4_path, tmp_path, monkeypatch,
     assert (tmp_path / "decay.json").read_text() == printed
 
 
+def test_only_decay_defaults_to_json():
+    parser = _build_parser()
+    for command in sorted(_OUT_COMMANDS):
+        assert parser.parse_args([command]).out_format == "csv"
+    assert parser.parse_args(["decay"]).out_format == "json"
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_decay_csv_exits_two_before_the_graph_is_read(
+        source, c4_path, tmp_path, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(graphs, "load_graph",
+                        lambda *args, **kwargs: calls.append(args))
+    monkeypatch.chdir(tmp_path)
+    argv = ["decay", "--graph", c4_path, "--out", "d.csv"]
+    if source == "flag":
+        argv += ["--out-format", "csv"]
+    else:
+        (tmp_path / "run.json").write_text('{"out_format": "csv"}')
+        argv += ["--config", "run.json"]
+    assert main(argv) == 2
+    assert "decay writes its report as JSON only" in capsys.readouterr().err
+    assert calls == []
+    assert not (tmp_path / "d.csv").exists()
+
+
+def test_decay_writes_json_to_any_out_name(c4_path, tmp_path):
+    argv = ["decay", "--graph", c4_path, "--alpha", "const:1",
+            "--integrator", "exact", "--t-end", "10"]
+    assert main(argv + ["--out", str(tmp_path / "d.csv")]) == 0
+    assert main(argv + ["--out", str(tmp_path / "d.json"),
+                        "--out-format", "json"]) == 0
+    report = (tmp_path / "d.csv").read_text()
+    assert json.loads(report)["satisfies_floor"] is True
+    assert report == (tmp_path / "d.json").read_text()
+
+
 # ---------------------------------------------------------------------------
 # Exit codes
 # ---------------------------------------------------------------------------
@@ -640,6 +700,37 @@ def test_exit_code_config_errors(c4_path, digraph_path, tmp_path):
                  "--out", out]) == 2
     # nothing was written by any of the rejected runs
     assert not (tmp_path / "x.csv").exists()
+
+
+_SINE = "sin:0.5,0.4,12.566370614359172"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["floquet", "--laplacian", "kpath", "--kpath-alpha", "1",
+      "--alpha", _SINE, "--period", "0.5"],
+     "floquet analysis needs a fractional Laplacian kind"),
+    (["floquet", "--alpha", _SINE], "--period is required"),
+    (["decay", "--model", "schrodinger"],
+     "decay analysis applies to the heat model"),
+    (["decay", "--laplacian", "nsym"],
+     "decay analysis needs the comb or kpath kind"),
+    (["spectrum", "--directed", "--laplacian", "out"],
+     "spectrum needs an undirected graph"),
+    (["laplacian", "--laplacian", "kpath"],
+     "--kpath-alpha is required for the kpath kind"),
+    (["power", "--alpha", _SINE],
+     f"power needs a constant exponent, got schedule {_SINE!r}"),
+    (["simulate", "--config", "run.json"],
+     "config file must hold a JSON object"),
+])
+def test_rejected_command_exits_two_with_its_message(
+        argv, message, c4_path, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.json").write_text('["t_end", 2]')
+    before = sorted(p.name for p in tmp_path.iterdir())
+    assert main(argv + ["--graph", c4_path, "--out", "x.out"]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
 
 
 @pytest.mark.parametrize("flag, value", [

@@ -233,23 +233,23 @@ def test_load_matrix_market_bad_header(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_adjacency_and_degrees_c4(c4):
-    a, d, d_in, d_out = adjacency_and_degrees(c4)
-    assert np.array_equal(d, 2.0 * np.eye(4))
-    assert np.array_equal(d, d_in) and np.array_equal(d, d_out)
+    a, d_out, d_in = adjacency_and_degrees(c4)
+    assert np.array_equal(d_out, [2.0, 2.0, 2.0, 2.0])
+    assert np.array_equal(d_out, d_in)
     assert a[0, 1] == a[1, 0] == 1.0 and a[0, 2] == 0.0
 
 
 def test_degrees_directed_path():
     g = Graph(3, ((0, 1, 1.0), (1, 2, 1.0)), directed=True)
-    _, _, d_in, d_out = adjacency_and_degrees(g)
-    assert np.array_equal(np.diag(d_out), [1.0, 1.0, 0.0])
-    assert np.array_equal(np.diag(d_in), [0.0, 1.0, 1.0])
+    _, d_out, d_in = adjacency_and_degrees(g)
+    assert np.array_equal(d_out, [1.0, 1.0, 0.0])
+    assert np.array_equal(d_in, [0.0, 1.0, 1.0])
 
 
 def test_degrees_weighted_single_edge():
     g = Graph(2, ((0, 1, 3.0),))
-    _, d, _, _ = adjacency_and_degrees(g)
-    assert np.array_equal(d, np.diag([3.0, 3.0]))
+    _, d_out, d_in = adjacency_and_degrees(g)
+    assert np.array_equal(d_out, [3.0, 3.0]) and np.array_equal(d_in, d_out)
 
 
 def test_combinatorial_laplacian_c4(c4):
@@ -296,7 +296,7 @@ def test_directed_laplacian_null_vectors(digraph5):
 
 def test_normalized_laplacians_c4(c4):
     rw, sym = normalized_laplacians(c4)
-    a, _, _, _ = adjacency_and_degrees(c4)
+    a, _, _ = adjacency_and_degrees(c4)
     assert np.allclose(rw, np.eye(4) - a / 2.0, atol=1e-15)
     # D^{-1} W is row stochastic
     assert np.abs((np.eye(4) - rw).sum(axis=1) - 1.0).max() <= 1e-14

@@ -186,7 +186,7 @@ def test_schrodinger_trajectory_json_bytes(tmp_path):
     assert (tmp_path / "psi.json").read_bytes() == (
         b'{"model": "schrodinger", "columns": ["t", "re_1", "im_1", "re_2", '
         b'"im_2", "prob_1", "prob_2"], "rows": [[0.0, 1.0, 0.0, 0.0, 0.0, '
-        b'1.0, 0.0], [0.25, 0.5, -0.5, -0.0, -0.5, 0.6666666666666667, '
+        b'1.0, 0.0], [0.25, 0.5, -0.5, 0.0, -0.5, 0.6666666666666667, '
         b'0.33333333333333326]]}\n')
 
 
@@ -194,7 +194,7 @@ def test_matrix_json_bytes(tmp_path):
     write_matrix(np.array([[1.5, -0.0], [-0.25, 2]]), tmp_path / "m.json",
                  fmt="json")
     assert (tmp_path / "m.json").read_bytes() == (
-        b'{"rows": 2, "cols": 2, "entries": [[1.5, -0.0], [-0.25, 2.0]]}\n')
+        b'{"rows": 2, "cols": 2, "entries": [[1.5, 0.0], [-0.25, 2.0]]}\n')
 
 
 def test_spectrum_csv_and_json_bytes(tmp_path):
@@ -203,7 +203,7 @@ def test_spectrum_csv_and_json_bytes(tmp_path):
     assert (tmp_path / "s.csv").read_bytes() == b"0.0\n1e-17\n2.5\n"
     write_spectrum(values, tmp_path / "s.json", fmt="json")
     assert (tmp_path / "s.json").read_bytes() == (
-        b'{"eigenvalues": [-0.0, 1e-17, 2.5]}\n')
+        b'{"eigenvalues": [0.0, 1e-17, 2.5]}\n')
 
 
 def test_exponents_csv_and_json_bytes(tmp_path):
@@ -215,8 +215,8 @@ def test_exponents_csv_and_json_bytes(tmp_path):
         b"0.3333333333333333,-1.0\n")
     write_exponents(exponents, 0.5, tmp_path / "f.json", fmt="json")
     assert (tmp_path / "f.json").read_bytes() == (
-        b'{\n  "exponents": [\n    [\n      -0.0,\n      0.0\n    ],\n'
+        b'{\n  "exponents": [\n    [\n      0.0,\n      0.0\n    ],\n'
         b'    [\n      -1.5,\n      0.25\n    ],\n'
-        b'    [\n      -2.0,\n      -0.0\n    ],\n'
+        b'    [\n      -2.0,\n      0.0\n    ],\n'
         b'    [\n      0.3333333333333333,\n      -1.0\n    ]\n  ],\n'
         b'  "period": 0.5\n}\n')
