@@ -263,10 +263,10 @@ def cmd_laplacian(args) -> int:
 
 
 def cmd_power(args) -> int:
-    g = _load_graph(args)
     if args.laplacian == "kpath":
         raise ConfigError("power applies to fractional kinds; use the kpath command")
     alpha = _constant_exponent(args.alpha)
+    g = _load_graph(args)
     powered = _generator_for(g, args).matrix(alpha)
     trajio.write_matrix(powered, args.out, args.out_format)
     return EXIT_OK
@@ -306,11 +306,11 @@ def cmd_simulate(args) -> int:
 def cmd_decay(args) -> int:
     if args.out_format != "json":
         raise ConfigError("decay writes its report as JSON only, not CSV")
-    g = _load_graph(args)
     if args.model != "heat":
         raise ConfigError("decay analysis applies to the heat model")
     if args.laplacian not in _DECAY_KINDS:
         raise ConfigError("decay analysis needs the comb or kpath kind")
+    g = _load_graph(args)
     problem, config = _build_problem(g, args)
     traj = dynamics.simulate(problem, config)
     envelope = stability.decay_envelope(traj, stability.steady_state(g))
@@ -335,12 +335,12 @@ def cmd_decay(args) -> int:
 
 
 def cmd_floquet(args) -> int:
-    g = _load_graph(args)
     if args.period is None:
         raise ConfigError("--period is required")
     schedule = parse_schedule(args.alpha)
     if args.laplacian == "kpath":
         raise ConfigError("floquet analysis needs a fractional Laplacian kind")
+    g = _load_graph(args)
     exponents = stability.floquet_exponents(_generator_for(g, args), schedule,
                                             args.period)
     trajio.write_exponents(exponents, args.period, args.out, args.out_format)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, QuadratureError, StiffnessError
-from .graphs import Graph, _hop_coupling, _k_path_distances
+from .graphs import Graph, _hop_coupling
 from .integrators import (
     StaleSolver,
     StepStats,
@@ -149,8 +149,9 @@ class KPathGenerator:
     diagonalizable: under a varying exponent there is no shared-eigenbasis
     fast path and no closed-form solution, only integration in state space.
     Under a constant exponent simulate and exact_solution assemble the one
-    matrix once and solve in its eigenbasis.  hops is the integer hop
-    matrix, kept once; each matrix(alpha) gathers its entries from a table
+    matrix once and solve in its eigenbasis.  hops is the graph's read-only
+    integer hop matrix (Graph.k_path_distances), shared with every other
+    reader of that Graph; each matrix(alpha) gathers its entries from a table
     of the diameter + 1 hop weights.
     """
 
@@ -164,9 +165,8 @@ class KPathGenerator:
 
     @classmethod
     def from_graph(cls, g: Graph) -> "KPathGenerator":
-        distances = _k_path_distances(g)
-        return cls(hops=distances.hops.astype(np.intp),
-                   diameter=distances.diameter)
+        distances = g.k_path_distances
+        return cls(hops=distances.hops, diameter=distances.diameter)
 
     @property
     def n(self) -> int:

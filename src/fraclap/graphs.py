@@ -4,7 +4,9 @@ Graphs are simple (no self-loops, no duplicate edges) with positive, finite
 edge weights.  Matrices are plain dense ``numpy`` arrays: the largest network
 of interest here has ~1000 nodes, so O(n^2) storage is cheap and keeps every
 downstream kernel simple.  scipy loads on first use, for the csgraph
-traversals behind distances and connectivity.
+traversals behind distances and connectivity.  A Graph computes the hop
+matrix of the k-path operators once, when Graph.k_path_distances is first
+read, and every later reader shares that read-only array.
 """
 
 from __future__ import annotations
@@ -78,6 +80,22 @@ class Graph:
     def m(self) -> int:
         return len(self.edges)
 
+    @cached_property
+    def k_path_distances(self) -> DistanceMatrix:
+        """Hop distances for the k-path operators, computed on first read.
+
+        hops is a read-only np.intp matrix, shared by every reader.  A
+        directed or disconnected graph raises ValueError on every read.
+        """
+        if self.directed:
+            raise ValueError("the k-path Laplacian needs an undirected graph")
+        distances = all_pairs_distances(self)
+        if not np.all(np.isfinite(distances.hops)):
+            raise ValueError("the k-path Laplacian needs a connected graph")
+        hops = distances.hops.astype(np.intp)
+        hops.flags.writeable = False
+        return DistanceMatrix(hops=hops, diameter=distances.diameter)
+
 
 class _EdgeError(ValueError):
     """graph.edges[index] breaks a rule, worded by a str.format template.
@@ -101,7 +119,8 @@ class _EdgeError(ValueError):
 class DistanceMatrix:
     """All-pairs hop distances; unreachable pairs hold ``inf``.
 
-    ``diameter`` is the largest finite entry.
+    ``diameter`` is the largest finite entry.  Graph.k_path_distances holds
+    those of a connected graph as a read-only ``np.intp`` matrix.
     """
 
     hops: np.ndarray
@@ -375,16 +394,6 @@ def connectivity(g: Graph) -> ConnectivityReport:
 # k-path Laplacians
 # ---------------------------------------------------------------------------
 
-def _k_path_distances(g: Graph) -> DistanceMatrix:
-    """Hop distances of g, which the k-path operators need undirected and connected."""
-    if g.directed:
-        raise ValueError("the k-path Laplacian needs an undirected graph")
-    distances = all_pairs_distances(g)
-    if not np.all(np.isfinite(distances.hops)):
-        raise ValueError("the k-path Laplacian needs a connected graph")
-    return distances
-
-
 def _hop_coupling(hops: np.ndarray, diameter: int, alpha: float) -> np.ndarray:
     """L_1 + sum_k k^{-alpha} L_k, gathered from a diameter + 1 weight table.
 
@@ -407,6 +416,5 @@ def _hop_coupling(hops: np.ndarray, diameter: int, alpha: float) -> np.ndarray:
 
 def transformed_k_path_laplacian(g: Graph, alpha: float) -> np.ndarray:
     """Mellin-weighted sum L_1 + sum_{k>=2} k^{-alpha} L_k up to the diameter."""
-    distances = _k_path_distances(g)
-    return _hop_coupling(distances.hops.astype(np.intp), distances.diameter,
-                         alpha)
+    distances = g.k_path_distances
+    return _hop_coupling(distances.hops, distances.diameter, alpha)

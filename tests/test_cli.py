@@ -722,15 +722,23 @@ _SINE = "sin:0.5,0.4,12.566370614359172"
      f"power needs a constant exponent, got schedule {_SINE!r}"),
     (["simulate", "--config", "run.json"],
      "config file must hold a JSON object"),
+    (["power", "--laplacian", "kpath", "--kpath-alpha", "1"],
+     "power applies to fractional kinds; use the kpath command"),
 ])
 def test_rejected_command_exits_two_with_its_message(
         argv, message, c4_path, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "run.json").write_text('["t_end", 2]')
     before = sorted(p.name for p in tmp_path.iterdir())
+    load_graph, loaded = graphs.load_graph, []
+    monkeypatch.setattr(graphs, "load_graph",
+                        lambda *a, **k: loaded.append(a) or load_graph(*a, **k))
     assert main(argv + ["--graph", c4_path, "--out", "x.out"]) == 2
     assert f"error: {message}" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == before
+    # Only the graph's direction and the kpath kind's --kpath-alpha are
+    # checked after the load; every other refusal reads no graph.
+    assert len(loaded) == (argv[0] in ("spectrum", "laplacian"))
 
 
 @pytest.mark.parametrize("flag, value", [

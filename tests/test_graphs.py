@@ -10,11 +10,13 @@ from conftest import (
 from fraclap import (
     Graph,
     GraphParseError,
+    KPathGenerator,
     adjacency_and_degrees,
     all_pairs_distances,
     combinatorial_laplacian,
     connectivity,
     directed_laplacians,
+    graphs,
     load_graph,
     normalized_laplacians,
     transformed_k_path_laplacian,
@@ -435,6 +437,51 @@ def test_transformed_k_path_rejects_negative_alpha(c4):
 def test_transformed_k_path_rejects_nonfinite_alpha(c4, alpha):
     with pytest.raises(ValueError, match="finite"):
         transformed_k_path_laplacian(c4, alpha)
+
+
+def counting_distances(monkeypatch):
+    calls = []
+    distances = graphs.all_pairs_distances
+
+    def counted(g):
+        calls.append(g)
+        return distances(g)
+
+    monkeypatch.setattr(graphs, "all_pairs_distances", counted)
+    return calls
+
+
+def test_hop_distances_are_computed_once_per_graph(monkeypatch):
+    calls = counting_distances(monkeypatch)
+    g = ring_with_chords(30, 8, seed=2)
+    first = KPathGenerator.from_graph(g)
+    matrix = transformed_k_path_laplacian(g, 0.5)
+    again = KPathGenerator.from_graph(g)
+    assert calls == [g]
+    assert first.hops is again.hops is g.k_path_distances.hops
+    assert first.hops.dtype == np.intp and not first.hops.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        first.hops[0, 1] = 5
+    assert np.array_equal(matrix, first.matrix(0.5))
+    assert np.array_equal(first.hops, all_pairs_distances(g).hops)
+
+
+@pytest.mark.parametrize("g, message", [
+    (Graph(3, ((0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0)), directed=True),
+     "the k-path Laplacian needs an undirected graph"),
+    (Graph(4, ((0, 1, 1.0), (2, 3, 1.0))),
+     "the k-path Laplacian needs a connected graph"),
+])
+def test_k_path_refusals_repeat_on_every_call(g, message, monkeypatch):
+    calls = counting_distances(monkeypatch)
+    for build in (KPathGenerator.from_graph,
+                  lambda g: transformed_k_path_laplacian(g, 1.0),
+                  KPathGenerator.from_graph):
+        with pytest.raises(ValueError) as excinfo:
+            build(g)
+        assert str(excinfo.value) == message
+    # the direction check needs no distances; the connectivity one pays them
+    assert len(calls) == (0 if g.directed else 3)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
-"""CSV tables formatted in two halves, one by a helper interpreter.
+"""CSV tables formatted in two halves, one by a helper interpreter, or from
+one repr per distinct value.
 
 Every table here is compared with the serial reference below, so the split,
-the helper's wire format and its failure handling must all keep the bytes.
+the helper's wire format, its failure handling and the distinct-value path
+must all keep the bytes.
 """
 
 import gc
@@ -24,11 +26,12 @@ from fraclap import (
     combinatorial_laplacian,
     exact_solution,
     random_initial_state,
+    transformed_k_path_laplacian,
 )
 from fraclap import trajio
 from fraclap.trajio import format_float, read_trajectory, trajectory_table
 from fraclap.trajio import write_matrix, write_trajectory
-from conftest import cycle_graph
+from conftest import cycle_graph, ring_with_chords
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
@@ -94,6 +97,50 @@ def test_split_rows_match_serial_reference(table):
         text = "".join(trajio._csv_rows(table + 0.0))
         assert trajio._idle_helper is not None  # the helper path ran
     assert text == serial_csv(table)
+
+
+def no_send(helper, rows):
+    raise AssertionError("a table with few distinct values went to the helper")
+
+
+repeated = arrays(np.float64,
+                  st.tuples(st.integers(1, 9), st.sampled_from([1, 2, 3, 6])),
+                  elements=st.sampled_from(SPECIAL + [1.0, -2.5, 1e300]))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(repeated)
+def test_distinct_rows_match_serial_reference(table):
+    # Heavy repetition, every special value, and the one- and two-column
+    # tables of write_spectrum and write_exponents; a table with too many
+    # distinct values falls through to the helper.
+    with pytest.MonkeyPatch.context() as mp:
+        use_helper(mp)
+        mp.setattr(trajio, "_DISTINCT_MIN_ENTRIES", 1)
+        text = "".join(trajio._csv_rows(table + 0.0))
+    assert text == serial_csv(table)
+
+
+def test_kpath_matrix_formats_each_distinct_value_once(monkeypatch, started,
+                                                       tmp_path):
+    # 300 x 300 entries, above the default threshold, of 343 distinct values
+    use_helper(monkeypatch)
+    monkeypatch.setattr(trajio, "_send", no_send)
+    matrix = transformed_k_path_laplacian(ring_with_chords(300, 20), 0.5)
+    assert matrix.size >= trajio._DISTINCT_MIN_ENTRIES
+    write_matrix(matrix, tmp_path / "k.csv")
+    assert (tmp_path / "k.csv").read_text() == serial_csv(matrix)
+    assert started == []
+
+
+def test_repeated_first_row_with_distinct_rows_uses_the_helper(monkeypatch,
+                                                               started):
+    use_helper(monkeypatch)
+    monkeypatch.setattr(trajio, "_DISTINCT_MIN_ENTRIES", 1)
+    table = big_table()
+    table[0] = 0.0
+    assert "".join(trajio._csv_rows(table)) == serial_csv(table)
+    assert len(started) == 1
 
 
 def test_wide_and_tall_tables_match_serial_reference(monkeypatch, started):
